@@ -15,7 +15,9 @@ Engine lifecycle (SURVEY.md §3, "Engine lifecycle"):
 Every epoch's outputs land in parquet under the checkpoint root BEFORE
 the next epoch starts; ``_SUCCESS`` marks completion, so a killed run
 resumes from the last complete epoch with the URL-seen shards rebuilt
-from checkpointed fetch records (state/checkpoint.py).
+from checkpointed fetch records and the next frontier rebuilt, exactly as
+the epoch loop builds it, as that epoch's deferred ∪ discovered rows
+(state/checkpoint.py).
 
 For the bounded reference workloads there is exactly ONE epoch and no
 discovery, which reproduces bbcrawl's sequential page semantics; order
@@ -35,7 +37,7 @@ import ray
 import ray.data as rd
 from ray.data import Dataset
 
-from ..cli.partition import CrawlerSpec, PipelineSpec
+from ..cli.partition import CrawlerSpec
 from functools import lru_cache
 
 from ..functions.urlfns import canonicalize_url, hash64_batch, host_of, hosts_of_batch
@@ -296,13 +298,48 @@ def _links_to_frontier(links: pa.Table, epoch: int, seed_hosts: set[str], same_h
     )
 
 
+def _next_frontier(
+    cfg: CrawlConfig, frontier_dir: str, parsed_dir: str, next_epoch: int, seed_hosts: set[str]
+) -> Dataset:
+    """The frontier of ``next_epoch``, read from the previous epoch's
+    checkpoint: its deferred rows ∪ the links it discovered (with
+    ``follow_links``). The epoch loop and resume both build it here."""
+    frontier = read_parquet_dirs(
+        [f"{frontier_dir}/selected=false"], FRONTIER_SHARD
+    ).drop_columns(["host_shard"])
+    if cfg.follow_links:
+        links = read_parquet_dirs([f"{parsed_dir}/record_kind=link"], schemas.PARSED)
+        same_host = cfg.same_host_only
+        frontier = frontier.union(
+            links.map_batches(
+                lambda t: _links_to_frontier(t, next_epoch, seed_hosts, same_host),
+                batch_format="pyarrow",
+            )
+        )
+    return frontier
+
+
 def run_crawl(cfg: CrawlConfig, resume: bool = False) -> CrawlResult:
-    """Execute the crawl; see module docstring for the epoch dataflow."""
-    ckpt = CheckpointManager(f"{cfg.output_root}/checkpoints")
+    """Execute the crawl; see module docstring for the epoch dataflow.
+
+    The URL-seen set is leased empty (state/seen.py) and handed back
+    when the crawl returns, so a later crawl in the same Ray session
+    reuses its shard actors."""
+    t_lease = time.perf_counter()
     seen = SeenSet(cfg.seen_shards, cfg.seen_mode)
+    try:
+        return _run_epochs(cfg, resume, seen, time.perf_counter() - t_lease)
+    finally:
+        seen.return_shards()
+
+
+def _run_epochs(cfg: CrawlConfig, resume: bool, seen: SeenSet, lease_s: float) -> CrawlResult:
+    """run_crawl's resume and epoch loop over the leased seen set."""
+    ckpt = CheckpointManager(f"{cfg.output_root}/checkpoints")
     pages_ref = ray.put(cfg.pages) if cfg.pages is not None else None
     fetch_cfg = _fetch_cfg(cfg, pages_ref)
     lineage_base = {"config_hash": config_hash(cfg), "crawler": cfg.crawler.crawler}
+    seed_hosts = {host_of(s["blueprint_url"]) for s in cfg.seeds}
 
     start_epoch = 0
     frontier: Dataset | None = None
@@ -322,16 +359,15 @@ def run_crawl(cfg: CrawlConfig, resume: bool = False) -> CrawlResult:
                         b["canon_url"].to_pylist(),
                     )
             start_epoch = latest + 1
-            deferred = read_parquet_dirs(
-                [ckpt.path(latest, "frontier") + "/selected=false"], FRONTIER_SHARD
+            frontier = _next_frontier(
+                cfg, ckpt.path(latest, "frontier"), ckpt.path(latest, "parsed"),
+                start_epoch, seed_hosts,
             )
-            frontier = deferred.drop_columns(["host_shard"])
     if frontier is None:
         if not resume:
             ckpt.clear()
         frontier = _seed_frontier(cfg)
 
-    seed_hosts = {host_of(s["blueprint_url"]) for s in cfg.seeds}
     metrics_all: list[dict] = []
     epochs_run = 0
     parsed_dirs: list[str] = []
@@ -340,13 +376,18 @@ def run_crawl(cfg: CrawlConfig, resume: bool = False) -> CrawlResult:
     for epoch in range(start_epoch, start_epoch + cfg.max_epochs):
         t0 = time.perf_counter()
         seen_before = sum(seen.sizes())
+        if epoch == start_epoch:
+            # new shards answer once started: that wait is part of leasing
+            lease_s += time.perf_counter() - t0
         # -- budget + skew split (the one host-keyed shuffle), checkpointed
         budgeted = budget_frontier(frontier, cfg.per_host_budget, cfg.skew_split_threshold)
         # hive-partitioned on `selected`: downstream reads are directory-
         # pruned and selected/deferred counts come from parquet footers
+        t_write = time.perf_counter()
         frontier_dir = ckpt.write_part(
             epoch, "frontier", budgeted, partition_cols=["selected"]
         )
+        frontier_write_s = time.perf_counter() - t_write
 
         # -- fetch + parse (selected rows only, streamed once to parquet).
         # Repartition first: the frontier parquet may be a handful of
@@ -400,9 +441,11 @@ def run_crawl(cfg: CrawlConfig, resume: bool = False) -> CrawlResult:
         # hive-partition by record_kind: doc/manifest/link land in their
         # own directories, so every downstream read is directory-pruned
         # and counts come from parquet footers with NO Ray execution
+        t_write = time.perf_counter()
         parsed_dir = ckpt.write_part(
             epoch, "parsed", parsed, partition_cols=["record_kind"]
         )
+        parsed_write_s = time.perf_counter() - t_write
         parsed_dirs.append(parsed_dir)
 
         # -- downloads (actor pool; skip-if-exists = idempotent resume).
@@ -459,8 +502,12 @@ def run_crawl(cfg: CrawlConfig, resume: bool = False) -> CrawlResult:
             "manifest_status": status_counts,
             "docs_per_seed": per_seed,
             "seen_sizes": seen_sizes,
+            "frontier_write_s": round(frontier_write_s, 3),
+            "parsed_write_s": round(parsed_write_s, 3),
             "wall_s": round(time.perf_counter() - t0, 3),
         }
+        if epoch == start_epoch:
+            metrics["state_lease_s"] = round(lease_s, 3)
         from ..functions.loglevels import get_logger
 
         get_logger(__name__).info(
@@ -485,23 +532,7 @@ def run_crawl(cfg: CrawlConfig, resume: bool = False) -> CrawlResult:
         epochs_run += 1
 
         # -- next epoch frontier: deferred ∪ discovered
-        deferred = read_parquet_dirs(
-            [f"{frontier_dir}/selected=false"], FRONTIER_SHARD
-        )
-        next_parts = [deferred.drop_columns(["host_shard"])]
-        if cfg.follow_links:
-            links = read_parquet_dirs(
-                [f"{parsed_dir}/record_kind=link"], schemas.PARSED
-            )
-            next_epoch, same_host = epoch + 1, cfg.same_host_only
-            discovered = links.map_batches(
-                lambda t: _links_to_frontier(t, next_epoch, seed_hosts, same_host),
-                batch_format="pyarrow",
-            )
-            next_parts.append(discovered)
-        frontier = next_parts[0]
-        for p in next_parts[1:]:
-            frontier = frontier.union(p)
+        frontier = _next_frontier(cfg, frontier_dir, parsed_dir, epoch + 1, seed_hosts)
         # emptiness from parquet FOOTERS — zero extra pipeline execution;
         # the lazy `frontier` above is only consumed if we loop again
         deferred_count = parquet_row_count(f"{frontier_dir}/selected=false")
@@ -516,16 +547,3 @@ def run_crawl(cfg: CrawlConfig, resume: bool = False) -> CrawlResult:
     ).select_columns(["doc_id", "spans", "seed_id", "page_num", "url"])
     manifest = read_parquet_dirs(manifest_dirs, schemas.PARSED)
     return CrawlResult(documents, manifest, metrics_all, epochs_run, ckpt.root)
-
-
-def crawl_from_spec(
-    spec: PipelineSpec, output_root: str, seed_id: str = "s0001", **overrides
-) -> CrawlResult:
-    """Reference-CLI entry: one PipelineSpec → one-epoch bounded crawl."""
-    cfg = CrawlConfig(
-        crawler=spec.crawler,
-        seeds=[spec.pager.seed_row(seed_id)],
-        output_root=output_root,
-        **overrides,
-    )
-    return run_crawl(cfg)

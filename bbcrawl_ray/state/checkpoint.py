@@ -11,10 +11,12 @@ Layout under ``<root>/``:
         _SUCCESS               written LAST — epoch is complete iff present
 
 Resume = find the latest ``_SUCCESS`` epoch, rebuild the URL-seen
-shards from every complete epoch's fetched URLs, and continue from the
-deferred frontier rows. Blob writes stay idempotent via deterministic
-``out_name`` + skip-if-exists, mirroring the reference's only resume
-mechanism (downloader.go:267-273).
+shards from every complete epoch's fetched URLs, and continue from that
+epoch's deferred frontier rows ∪ the links it discovered (read back
+from ``frontier/selected=false`` and ``parsed/record_kind=link``). Blob
+writes stay idempotent via deterministic ``out_name`` + skip-if-exists,
+mirroring the reference's only resume mechanism
+(downloader.go:267-273).
 """
 
 from __future__ import annotations

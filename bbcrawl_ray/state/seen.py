@@ -19,13 +19,33 @@ Modes:
 False positives drop a URL that was never crawled (bounded, configurable
 via bits_per_key); false negatives are impossible in all modes — the
 parity suite runs exact mode so URL-seen equality vs the reference holds.
+
+Lifecycle: the shards outlive the crawl that used them. Each new
+``SeenShard`` is a worker process that imports Ray, started while the
+crawl's first epoch competes with it for CPU, so a ``SeenSet`` LEASES
+its shards from a free list of idle ones instead: it resets those it
+takes to an empty filter of the requested mode and capacity in ONE RPC
+round, and starts new actors only for the rest, or for all when a
+pooled one has died (``RayActorError``). ``run_crawl`` hands the set
+back (``return_shards``) when it returns; a returned shard is reset at
+once, so an idle one holds no keys. Reuse helps only when more than
+one crawl runs in a Ray session (``__ray_entry__.entry()`` followed by
+its ``crawl_documents`` query, ``bench.py``, a library caller); a process
+that runs one crawl starts its shards as before. The free list is
+lock-guarded and belongs to one Ray session (this process's node id
+and job id): after ``ray.shutdown()``/``ray.init()`` it starts empty, so a
+handle from a dead session is never handed out. Every lease starts
+from an empty filter, so reuse never changes what a crawl outputs.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 import ray
+from ray.exceptions import RayActorError
 
 
 class _ExactSeen:
@@ -162,6 +182,10 @@ class SeenShard:
     of a 4-CPU bench level, faking superlinear scaling)."""
 
     def __init__(self, mode: str = "exact", capacity: int = 1_000_000, **kw):
+        self.reset(mode, capacity, **kw)
+
+    def reset(self, mode: str = "exact", capacity: int = 1_000_000, **kw) -> None:
+        """Drop every key: an empty filter, as a new shard starts with."""
         if mode == "exact":
             self.impl = _ExactSeen()
         elif mode == "bloom":
@@ -178,15 +202,52 @@ class SeenShard:
         return len(self.impl)
 
 
+_LOCK = threading.Lock()
+_session = None  # the Ray session the free list belongs to
+_IDLE: list = []  # idle SeenShard handles
+
+
+def _idle() -> list:
+    """The free list of the current Ray session (caller holds _LOCK)."""
+    global _session
+    ctx = ray.get_runtime_context()
+    session = (ctx.get_node_id(), ctx.get_job_id())
+    if session != _session:
+        _session = session
+        _IDLE.clear()
+    return _IDLE
+
+
+def _lease(n: int, mode: str, capacity: int) -> list:
+    """``n`` empty shards: idle ones reset in one RPC round, new for the rest."""
+    with _LOCK:
+        idle = _idle()
+        k = len(idle) - min(n, len(idle))
+        reused, idle[k:] = idle[k:], []
+    try:
+        ray.get([a.reset.remote(mode, capacity) for a in reused])
+    except RayActorError:
+        reused = []
+    return reused + [SeenShard.remote(mode=mode, capacity=capacity) for _ in range(n - len(reused))]
+
+
 class SeenSet:
-    """Driver-side handle bundle for the shard pool."""
+    """Driver-side handle bundle for the shard pool: leased (empty) on
+    construction, handed back by ``return_shards()``."""
 
     def __init__(self, num_shards: int = 8, mode: str = "exact", capacity_per_shard: int = 1_000_000):
         self.mode = mode
         self.num_shards = num_shards
-        self.shards = [
-            SeenShard.remote(mode=mode, capacity=capacity_per_shard) for _ in range(num_shards)
-        ]
+        self.shards = _lease(num_shards, mode, capacity_per_shard)
+
+    def return_shards(self) -> None:
+        """Reset the shards and return them to the free list; this set is
+        unusable after."""
+        shards, self.shards = self.shards, []
+        for a in shards:
+            a.reset.remote()  # fire-and-forget; runs before any later lease's reset
+        with _LOCK:
+            _idle().extend(shards)
 
     def check_and_add_batch(self, hashes: np.ndarray, keys: list | None = None) -> np.ndarray:
         """Batched membership insert. ``keys`` (canonical URLs) are used in

@@ -401,3 +401,68 @@ def test_politeness_enforced_across_actor_pool(ray_session, tmp_root):
     # 6 fetches at >= 0.12s spacing need >= 5 * 0.12 = 0.6s of wall time;
     # without the global clock two actors would halve it
     assert wall >= (n_pages - 1) * delay, wall
+
+
+def test_resume_keeps_discovered_links(ray_session, tmp_root):
+    """A resume rebuilds the next frontier as deferred ∪ discovered, as
+    the epoch loop does: with follow_links, a 1-epoch crawl plus a
+    1-epoch resume crawls epoch 1 exactly like one 2-epoch crawl."""
+    seeds = [
+        {
+            "seed_id": f"h{i}",
+            "pager": "query",
+            "blueprint_url": f"http://forum{i}.example/t",
+            "start": 1,
+            "end": 3,
+        }
+        for i in range(2)
+    ]
+    base = dict(
+        crawler=CrawlerSpec(crawler="src", tags=["img"]),
+        seeds=seeds,
+        follow_links=True,
+        per_host_budget=2,
+    )
+    run({**base, "output_root": f"{tmp_root}/full", "max_epochs": 2})
+    run({**base, "output_root": f"{tmp_root}/part", "max_epochs": 1})
+    resumed = run({**base, "output_root": f"{tmp_root}/part", "max_epochs": 1}, resume=True)
+    assert [m["epoch"] for m in resumed.metrics] == [1]
+
+    from bbcrawl_ray import schemas
+    from bbcrawl_ray.pipelines.crawl import read_parquet_dirs
+
+    def epoch1_urls(root):
+        d = f"{root}/checkpoints/epoch=00001/parsed/record_kind=doc"
+        return set(read_parquet_dirs([d], schemas.PARSED).to_pandas()["url"])
+
+    full_urls = epoch1_urls(f"{tmp_root}/full")
+    # epoch 1 holds deferred seed pages AND discovered pages
+    assert any("/next" in u for u in full_urls), full_urls
+    assert epoch1_urls(f"{tmp_root}/part") == full_urls
+
+
+@pytest.mark.parametrize("mode", ["exact", "bloom"])
+def test_back_to_back_crawls_reuse_empty_state_actors(ray_session, tmp_root, monkeypatch, mode):
+    """Two identical crawls in one Ray session: the second leases the
+    first one's seen shards (same actor ids), yet starts from an empty
+    filter — every page is parsed again and seen_sizes is full."""
+    from bbcrawl_ray.state import seen
+
+    leased = []
+    real_lease = seen._lease
+
+    def spy(n, *args):
+        actors = real_lease(n, *args)
+        leased.append([a._actor_id.hex() for a in actors])
+        return actors
+
+    monkeypatch.setattr(seen, "_lease", spy)
+    cfg = dict(crawler=CrawlerSpec(crawler="src", tags=["img"]), seeds=[SEED], seen_mode=mode)
+    for i in range(2):
+        res = run({**cfg, "output_root": f"{tmp_root}/run{i}"})
+        assert res.documents.count() == 8
+        m = res.metrics[0]
+        assert m["pages_parsed"] == 8
+        assert sum(m["seen_sizes"]) == 8
+        assert {"state_lease_s", "frontier_write_s", "parsed_write_s"} <= set(m)
+    assert len(leased) == 2 and leased[1] == leased[0]

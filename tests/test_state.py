@@ -538,3 +538,100 @@ def test_host_clock_release_rolls_back_unused_window(ray_session):
     assert abs(nxt - (first + 2 * delay)) < 0.2
     # a second release against the OLD window end must fail (CAS):
     assert clock.release("h.example", window_end, 1.0) is False
+
+
+def test_returned_seen_shards_are_reset(ray_session):
+    """Handing a set back empties its shards at once: an idle shard
+    holds no keys until the next crawl leases it."""
+    import ray
+
+    from bbcrawl_ray.state.seen import SeenSet
+
+    seen = SeenSet(num_shards=2, mode="exact")
+    seen.check_and_add_batch(np.arange(10, dtype=np.uint64), [f"http://h/{i}" for i in range(10)])
+    assert sum(seen.sizes()) == 10
+    shards = seen.shards
+    seen.return_shards()
+    assert ray.get([a.size.remote() for a in shards]) == [0, 0]
+
+
+def test_seen_lease_falls_back_to_fresh_shards(ray_session, monkeypatch):
+    """A dead pooled shard, or a free list from another Ray session, is
+    never handed out: the lease starts fresh, empty shards instead."""
+    import time
+
+    import ray
+
+    from bbcrawl_ray.state import seen as seen_mod
+    from bbcrawl_ray.state.seen import SeenSet
+
+    urls = [f"http://h/{i}" for i in range(20)]
+    hashes = np.arange(20, dtype=np.uint64)
+
+    def leased_ids():
+        seen = SeenSet(num_shards=2, mode="exact")
+        assert seen.check_and_add_batch(hashes, urls).all()
+        assert sum(seen.sizes()) == 20
+        ids = {a._actor_id for a in seen.shards}
+        return seen, ids
+
+    seen, first = leased_ids()
+    dead = seen.shards[0]
+    seen.return_shards()
+    ray.kill(dead)
+    # ray.kill is asynchronous: lease only once the shard is really dead
+    deadline = time.time() + 60
+    while True:
+        try:
+            ray.get(dead.size.remote(), timeout=30)
+        except ray.exceptions.RayActorError:
+            break
+        assert time.time() < deadline, "the killed shard never died"
+        time.sleep(0.05)
+    seen, second = leased_ids()
+    assert not first & second
+    seen.return_shards()
+
+    # a free list left by an earlier session is dropped, not reused
+    monkeypatch.setattr(seen_mod, "_session", ("a-dead-node", "a-dead-job"))
+    seen, third = leased_ids()
+    assert not second & third
+    seen.return_shards()
+
+
+def test_lease_free_list_thread_safe(ray_session):
+    """Threads leasing and handing back seen sets at once never hold the
+    same shard actor together (a lost update on the free list would)."""
+    import sys
+    import threading
+
+    from bbcrawl_ray.state.seen import SeenSet
+
+    in_use, lock, clashes, done = set(), threading.Lock(), [], []
+
+    def worker():
+        for i in range(15):
+            seen = SeenSet(num_shards=1, mode="exact")
+            aid = seen.shards[0]._actor_id
+            with lock:
+                if aid in in_use:
+                    clashes.append(aid)
+                in_use.add(aid)
+            seen.check_and_add_batch(np.array([i], dtype=np.uint64), [f"http://h/{i}"])
+            with lock:
+                in_use.discard(aid)
+            seen.return_shards()
+        done.append(1)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(done) == 8 and not clashes
