@@ -198,11 +198,6 @@ def attr_val(node: Node, key: str) -> str:
     return ""
 
 
-def has_attr(node: Node, key: str) -> bool:
-    """libhtml.go:115-122."""
-    return any(k == key for k, _ in node.attrs)
-
-
 def element_by_id(root: Node, id_: str) -> Node | None:
     """First node (document order) with id == id_ — libhtml.go:55-68."""
     for n in walk(root):
@@ -249,8 +244,3 @@ def match_attrs(node: Node, attrs: list[tuple[str, str]]) -> bool:
     requirement set always matches — libhtml.go:124-142."""
     node_attrs = set(node.attrs)
     return all((k, v) in node_attrs for k, v in attrs)
-
-
-def text_content(node: Node) -> str:
-    """Concatenated text of a subtree (document order)."""
-    return "".join(n.text for n in walk(node) if n.tag is None)

@@ -68,15 +68,6 @@ def file_crawler_name(page_num: int, url: str) -> str:
     return ""
 
 
-def vb_attachment_name(post_id: str, attid: int, url: str) -> str:
-    """"{postid}-{attid}-{basename}" (crawlers.go:295-304); raises when the
-    URL yields no basename (reference logs + skips, attid still consumed)."""
-    name = file_name_from_url(url)
-    if not name:
-        raise NamingError(f"no basename in {url!r}")
-    return check_filename(f"{post_id}-{attid}-{name}")
-
-
 def auto_name(ordinal: int) -> str:
     """Unnamed-download fallback "{id}.download" (downloader.go:262).
 

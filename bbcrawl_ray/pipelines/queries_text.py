@@ -80,7 +80,7 @@ def q_common_token_fraction(sf_dir: str) -> Dataset:
     return ds.map_batches(frac, batch_format="pyarrow")
 
 
-def q_doc_token_freq(sf_dir: str, vocab_broadcast_bytes: int = 64 << 20) -> Dataset:
+def q_doc_token_freq(sf_dir: str) -> Dataset:
     """Per-doc mean GLOBAL frequency of its tokens — an integer-exact
     'perplexity proxy' (common-word-heavy docs score high, rare-word
     docs low) avoiding cross-engine transcendental hazards: the corpus
@@ -89,12 +89,12 @@ def q_doc_token_freq(sf_dir: str, vocab_broadcast_bytes: int = 64 << 20) -> Data
 
     The vocab table is BYTE-GATED (round-3 verdict #5): natural
     language keeps it dimension-sized, but an adversarial corpus
-    (random strings) makes it data-proportional. Under the gate the
-    measured vocab ships once (ray.put) and docs stream through a
-    dictionary-encode + merge per batch; above it the per-(doc, token)
-    counts meet the vocab in the engine's hash join and per-doc sums
-    re-aggregate — nothing data-proportional ever lands on the driver
-    on either path."""
+    (random strings) makes it data-proportional. Within
+    ``relops.SMALL_BYTES`` the measured vocab ships once (ray.put) and
+    docs stream through a dictionary-encode + merge per batch; above it
+    the per-(doc, token) counts meet the vocab in the engine's hash join
+    and per-doc sums re-aggregate — nothing data-proportional ever lands
+    on the driver on either path."""
     import ray as _ray
 
     ds = R.read_table(sf_dir, "documents", columns=["doc_id", "text"])
@@ -112,7 +112,7 @@ def q_doc_token_freq(sf_dir: str, vocab_broadcast_bytes: int = 64 << 20) -> Data
         sums={"n": "n"},
     ).materialize()
 
-    if (vocab_ds.size_bytes() or 0) <= vocab_broadcast_bytes:
+    if R._fits(vocab_ds, "q_doc_token_freq"):
         vocab = R.to_pandas_schema_safe(vocab_ds).set_index("token")["n"]
         vocab_ref = _ray.put(vocab)
 
@@ -450,9 +450,12 @@ def _query_vectors(sf_dir: str, n: int = 5):
     return np.stack(df["embedding"].to_numpy()), df["vec_id"].tolist()
 
 
-def q_embedding_pairs_exact(
-    sf_dir: str, broadcast_bytes: int = 256 << 20
-) -> Dataset:
+# q_embedding_pairs_exact's HARD limit on the corpus matrix it pulls to
+# the driver — not a transport choice: above it the query refuses
+EXACT_PAIRS_MAX_BYTES = 256 << 20
+
+
+def q_embedding_pairs_exact(sf_dir: str) -> Dataset:
     """Exact all-pairs cosine >= 0.3 — the brute-force BASELINE: the
     normalized corpus matrix broadcasts once (ray.put), each batch does
     one matmul against it and emits (left_id, right_id) with left<right.
@@ -462,7 +465,7 @@ def q_embedding_pairs_exact(
     this corpus, ~1e8 x float64 noise).
 
     The corpus-matrix build is BYTE-GATED: the embeddings table's
-    MEASURED size must clear ``broadcast_bytes`` or this fails loudly
+    MEASURED size must clear ``EXACT_PAIRS_MAX_BYTES`` or this fails loudly
     (pointing at ``embedding_near_dup``) — no ``q_`` entry holds an
     unconditional data-proportional driver pull. Under the gate the
     matrix streams block-by-block via ``iter_batches`` straight into
@@ -473,10 +476,10 @@ def q_embedding_pairs_exact(
         sf_dir, "embeddings", columns=["vec_id", "embedding"]
     ).materialize()
     nbytes = ds.size_bytes() or 0
-    if nbytes > broadcast_bytes:
+    if nbytes > EXACT_PAIRS_MAX_BYTES:
         raise ValueError(
             f"embedding_pairs_exact: corpus is {nbytes} bytes, above the "
-            f"{broadcast_bytes}-byte broadcast gate — this is the labeled "
+            f"{EXACT_PAIRS_MAX_BYTES}-byte limit — this is the labeled "
             "O(n^2) baseline; use embedding_near_dup (LSH) at this scale"
         )
     mats, id_parts = [], []

@@ -15,10 +15,18 @@ Scale posture:
   shuffle; lookups happen with pandas merge / pyarrow ``is_in`` per
   batch;
 - top-k prunes locally per block before the global sort-limit.
+
+Transport: every operator here (and the dedup / text queries built on
+them) that can run its tail either as one coalesced task / broadcast or
+as an engine shuffle / hash join decides with ``_fits`` against the ONE
+budget ``SMALL_BYTES`` — measured bytes of the materialized input, never
+a row count, so nothing data-proportional lands in one task or on the
+driver as the corpus grows.
 """
 
 from __future__ import annotations
 
+import logging
 import os
 from typing import Callable, Iterable, Sequence
 
@@ -31,6 +39,36 @@ import ray
 import ray.data as rd
 from ray.data import Dataset
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
+
+_log = logging.getLogger(__name__)
+
+# ---------------------------------------------------------------------------
+# transport
+
+# The engine's shuffle and hash join carry a fixed cost per invocation
+# whatever their input size (1.2-1.7 s per hash shuffle on 1k rows at 4
+# CPUs), so an input under this budget runs as one coalesced task or
+# ships once as a broadcast instead. Tests force the distributed side by
+# patching it to 0.
+SMALL_BYTES = 64 << 20
+
+
+def _fits(ds: Dataset | Sequence[Dataset], op: str) -> bool:
+    """True when the measured size of the materialized ``ds`` (or of
+    several datasets together) is within ``SMALL_BYTES``: the small
+    side of ``op``'s transport choice. Reads the budget at call time."""
+    parts = ds if isinstance(ds, (list, tuple)) else (ds,)
+    nbytes = sum(p.size_bytes() or 0 for p in parts)
+    fits = nbytes <= SMALL_BYTES
+    _log.debug("%s: %d bytes, budget %d, small=%s", op, nbytes, SMALL_BYTES, fits)
+    return fits
+
+
+def _coalesced(ds: Dataset, fn: Callable, batch_format: str) -> Dataset:
+    """The small side's tail: ``fn`` runs once, in one task, over the
+    whole input coalesced into a single batch."""
+    return ds.repartition(1).map_batches(fn, batch_format=batch_format, batch_size=None)
+
 
 # ---------------------------------------------------------------------------
 # sources
@@ -60,12 +98,13 @@ def read_dim_pandas(sf_dir: str, name: str, columns: Sequence[str] | None = None
     directly — no Ray execution for a 25-row lookup (each tiny
     read-job costs ~0.3 s of pure scheduling; profiled round 5).
     Restricted to tables whose size does NOT scale with the corpus
-    (asserted), so this can never become a data-proportional driver
-    pull — everything else goes through ``read_table`` + a byte-gated
-    transport."""
+    (any other name raises ``ValueError``), so this can never become a
+    data-proportional driver pull — everything else goes through
+    ``read_table`` + a byte-gated transport."""
     import pyarrow.parquet as pq
 
-    assert name in _CONSTANT_DIMS, f"read_dim_pandas is for constant dims, not {name!r}"
+    if name not in _CONSTANT_DIMS:
+        raise ValueError(f"read_dim_pandas is for constant dims, not {name!r}")
     return pq.read_table(
         os.path.join(sf_dir, f"{name}.parquet"), columns=list(columns) if columns else None
     ).to_pandas()
@@ -73,11 +112,6 @@ def read_dim_pandas(sf_dir: str, name: str, columns: Sequence[str] | None = None
 
 # ---------------------------------------------------------------------------
 # per-batch transforms
-
-
-def map_arrow(ds: Dataset, fn: Callable[[pa.Table], pa.Table], **kwargs) -> Dataset:
-    """Vectorized Arrow-in/Arrow-out transform (zero-copy batches)."""
-    return ds.map_batches(fn, batch_format="pyarrow", **kwargs)
 
 
 def filter_arrow(ds: Dataset, pred: Callable[[pa.Table], pa.ChunkedArray], **kwargs) -> Dataset:
@@ -132,14 +166,13 @@ def partial_group_aggregate(
     keys: Sequence[str],
     sums: dict[str, str] | None = None,
     count_as: str | None = None,
-    small_combine_bytes: int = 64 << 20,
 ) -> Dataset:
     """Combiner-style grouped sum/count: pre-aggregate each Arrow batch with
     ``pyarrow.Table.group_by`` (one output row per key per batch), then a
     BYTE-GATED final combine — the partials materialize (blocks stay in
-    the object store) and their MEASURED size picks the tail: under the
-    gate, one coalesced task re-runs the same Arrow group_by over all
-    partials (the engine's sort-based Aggregate costs multi-second fixed
+    the object store) and their MEASURED size picks the tail: within
+    ``SMALL_BYTES``, one coalesced task re-runs the same Arrow group_by
+    over all partials (the engine's sort-based Aggregate costs multi-second fixed
     overhead per invocation at 32 CPUs — profiled round 5: 9.3 s wall
     for 139k partial rows); above it, the engine's distributed
     ``groupby().aggregate(Sum)`` shuffle runs. Same gate philosophy as
@@ -170,8 +203,7 @@ def partial_group_aggregate(
 
     partial_ds = ds.map_batches(partial, batch_format="pyarrow").materialize()
     out_cols = [*keys, *sums] + ([count_as] if count_as else [])
-    nbytes = partial_ds.size_bytes() or 0
-    if nbytes <= small_combine_bytes:
+    if _fits(partial_ds, "partial_group_aggregate"):
         combine_spec = [(out, "sum") for out in sums]
         if count_as:
             combine_spec.append((count_as, "sum"))
@@ -183,10 +215,7 @@ def partial_group_aggregate(
             # column order matches the engine path (keys first)
             return _arrow_combine(t, combine_spec, rename).select(out_cols)
 
-        # batch_size=None: the single coalesced block is one batch
-        return partial_ds.repartition(1).map_batches(
-            combine, batch_format="pyarrow", batch_size=None
-        )
+        return _coalesced(partial_ds, combine, "pyarrow")
     final_aggs = {out: ("sum", out) for out in sums}
     if count_as:
         final_aggs[count_as] = ("sum", count_as)
@@ -202,12 +231,17 @@ def topk(
     by: Sequence[str],
     descending: Sequence[bool],
     k: int,
-    small_bytes: int = 64 << 20,
 ) -> Dataset:
     """Global top-k: prune to k rows per block first, then a BYTE-GATED
     tail over the ≤ k × num_blocks pruned rows — one coalesced
-    sort-take task under the gate (the engine sort is an all-to-all
-    with multi-second fixed cost), the engine sort-limit above it."""
+    sort-take task within ``SMALL_BYTES`` (the engine sort is an
+    all-to-all with multi-second fixed cost), the engine sort-limit
+    above it.
+
+    ``by`` must be a TOTAL order (append a unique column such as the
+    row id): on ties at the k-th row the two tails may keep different
+    rows, so only a total order makes the choice a pure transport
+    decision."""
     by = list(by)
     descending = list(descending)
     order = [(c, "descending" if d else "ascending") for c, d in zip(by, descending)]
@@ -219,24 +253,20 @@ def topk(
         return t.take(idx[:k])
 
     pruned = ds.map_batches(local_prune, batch_format="pyarrow").materialize()
-    if (pruned.size_bytes() or 0) <= small_bytes:
+    if _fits(pruned, "topk"):
         def global_take(t: pa.Table) -> pa.Table:
             idx = pc.sort_indices(t, sort_keys=order)
             return t.take(idx[: min(k, t.num_rows)])
 
-        return pruned.repartition(1).map_batches(
-            global_take, batch_format="pyarrow", batch_size=None
-        )
+        return _coalesced(pruned, global_take, "pyarrow")
     return pruned.sort(by, descending=descending).limit(k)
 
 
-def distinct(
-    ds: Dataset, cols: Sequence[str], small_bytes: int = 64 << 20
-) -> Dataset:
+def distinct(ds: Dataset, cols: Sequence[str]) -> Dataset:
     """Distinct tuples: per-block Arrow dedup, then a BYTE-GATED global
     dedup — the per-block partials materialize and their MEASURED size
     picks the tail: one coalesced task re-running the same Arrow
-    group_by under the gate (the engine's grouped shuffle carries
+    group_by within ``SMALL_BYTES`` (the engine's grouped shuffle carries
     multi-second fixed cost per invocation), the NATIVE grouped count
     (count column dropped — no per-group Python UDF) above it."""
     cols = list(cols)
@@ -245,10 +275,8 @@ def distinct(
         return t.select(cols).group_by(cols).aggregate([])
 
     deduped = ds.map_batches(local, batch_format="pyarrow").materialize()
-    if (deduped.size_bytes() or 0) <= small_bytes:
-        return deduped.repartition(1).map_batches(
-            local, batch_format="pyarrow", batch_size=None
-        )
+    if _fits(deduped, "distinct"):
+        return _coalesced(deduped, local, "pyarrow")
     key = cols if len(cols) > 1 else cols[0]
     out = deduped.groupby(key).count()
     return out.drop_columns(["count()"])
@@ -261,8 +289,8 @@ def distinct(
 def broadcast_join(
     ds: Dataset,
     small: pd.DataFrame,
-    left_on: str,
-    right_on: str,
+    left_on: str | list[str],
+    right_on: str | list[str],
     how: str = "inner",
     **kwargs,
 ) -> Dataset:
@@ -288,13 +316,12 @@ def auto_join(
     right: Dataset,
     left_on: str,
     right_on: str,
-    broadcast_bytes: int = 64 << 20,
     num_partitions: int | None = None,
     how: str = "inner",
 ) -> Dataset:
     """Size-adaptive INNER join transport: the right side materializes
     (its blocks stay in the object store) and its MEASURED byte size
-    picks the path — under an ABSOLUTE gate it ships once as a
+    picks the path — within ``SMALL_BYTES`` it ships once as a
     broadcast map-side join (no shuffle at all); above it, both sides
     hash-shuffle through the engine join. Same gate philosophy as the
     dedup broadcast paths: the decision is bytes, never a row-count
@@ -308,15 +335,15 @@ def auto_join(
     left_outer path mirrors the engine's output exactly (pinned by
     ``test_auto_join_left_outer_paths_agree``): the right key column is
     dropped (the engine coalesces it into the left key, which for a
-    LEFT outer is just the left key) and unmatched numeric payloads
-    surface as float64 NaN, same as the engine's join. full_outer is
+    LEFT outer is just the left key) and the payload columns keep the
+    right side's Arrow types, nullable where a left row missed, in
+    every block — as the engine's join emits them. full_outer is
     NOT offered — unmatched RIGHT rows must be emitted exactly once
     globally, which a per-batch broadcast merge cannot decide."""
     if how not in ("inner", "left_outer"):
         raise ValueError(f"auto_join: unsupported how={how!r}")
     right = right.materialize()
-    nbytes = right.size_bytes() or 0
-    if nbytes <= broadcast_bytes:
+    if _fits(right, "auto_join"):
         # schema-safe: Ray 2.49 to_pandas() drops columns on zero-row
         # datasets, and merge() on a column-less frame raises KeyError —
         # an empty dimension side must yield an empty inner join instead
@@ -327,8 +354,16 @@ def auto_join(
             right_on=right_on,
             how="left" if how == "left_outer" else "inner",
         )
-        if how == "left_outer" and right_on != left_on:
-            joined = joined.drop_columns([right_on])
+        if how == "left_outer":
+            if right_on != left_on:
+                joined = joined.drop_columns([right_on])
+            # a miss turns an integer payload into float64 NaN in THAT
+            # batch only; cast back so all blocks share one schema
+            rs = right.schema()
+            joined = cast_columns(
+                joined,
+                {n: _as_arrow_type(t) for n, t in zip(rs.names, rs.types) if n != right_on},
+            )
         return joined
     if num_partitions is None:
         # grow the fan-out with the MEASURED right side above the
@@ -337,6 +372,7 @@ def auto_join(
         # data — while each partition also costs ~0.1 s of fixed
         # aggregator overhead (interleaved A/B at 32 CPUs, BASELINE.md
         # round 4), so small joins must not over-partition either.
+        nbytes = right.size_bytes() or 0
         num_partitions = max(join_partitions(None), -(-nbytes // (256 << 20)))
     return hash_join(
         left,
@@ -354,12 +390,11 @@ def auto_semi_join(
     on: str,
     right_on: str | None = None,
     anti: bool = False,
-    broadcast_bytes: int = 64 << 20,
     num_partitions: int | None = None,
 ) -> Dataset:
     """Size-adaptive SEMI/ANTI join: the right side's DISTINCT key set
     materializes (blocks stay in the object store) and its MEASURED
-    byte size picks the transport — under the absolute gate the keys
+    byte size picks the transport — within ``SMALL_BYTES`` the keys
     ship once and every batch filters with a C++ ``is_in`` kernel (no
     shuffle); above it the engine's hash-partitioned left_semi /
     left_anti join runs (both sides shuffle). Same gate philosophy as
@@ -382,8 +417,7 @@ def auto_semi_join(
         ),
         [right_on],
     ).materialize()
-    nbytes = keys_ds.size_bytes() or 0
-    if nbytes <= broadcast_bytes:
+    if _fits(keys_ds, "auto_semi_join"):
         keys = collect_column(keys_ds, right_on)
         return broadcast_semi_join(left, keys.tolist(), on=on, anti=anti)
     return hash_join(
@@ -403,13 +437,12 @@ def grouped_topk(
     descending: Sequence[bool],
     k: int,
     out_cols: Sequence[str] | None = None,
-    small_bytes: int = 64 << 20,
 ) -> Dataset:
     """Top-k WITHIN each group: per-block per-group prune first (the
     global winners of any group are a subset of every block's own
     per-group top-k), then a BYTE-GATED grouped head over ≤ k ×
     num_blocks rows per group — one coalesced task re-running the SAME
-    sort+grouped-head under the gate, the engine's grouped shuffle
+    sort+grouped-head within ``SMALL_BYTES``, the engine's grouped shuffle
     above it. Without the prune a low-cardinality group column (e.g. 5
     market segments) funnels the ENTIRE fact table into 5 pandas groups
     — the prune bounds each group by blocks, not rows."""
@@ -431,12 +464,10 @@ def grouped_topk(
         return out[out_cols] if out_cols else out
 
     pruned = ds.map_batches(local, batch_format="pandas").materialize()
-    if (pruned.size_bytes() or 0) <= small_bytes:
+    if _fits(pruned, "grouped_topk"):
         # `local` IS the whole-frame grouped head — same sort, same
         # stable tie-break, applied once globally
-        return pruned.repartition(1).map_batches(
-            local, batch_format="pandas", batch_size=None
-        )
+        return _coalesced(pruned, local, "pandas")
     key = group_cols if len(group_cols) > 1 else group_cols[0]
     return pruned.groupby(key).map_groups(final, batch_format="pandas")
 
@@ -455,20 +486,29 @@ def broadcast_semi_join(ds: Dataset, keys: Iterable, on: str, anti: bool = False
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def join_partitions(requested: int | None = None) -> int:
+def join_partitions(requested: int | None = None, rows: int | None = None) -> int:
     """Hash-join fan-out sized to the cluster: the engine's shuffle
     aggregator actors reserve resources per partition, so a fixed 16 on
     a 4-CPU cluster starves the map stages feeding them — two CHAINED
     joins (32 aggregators) deadlock outright. Half the CPUs (capped at
     16, floored at 2) leaves headroom for map stages and for a second
     concurrent join; on big clusters callers pass ``requested`` when a
-    join's input justifies more fan-out."""
+    join's input justifies more fan-out.
+
+    With a KNOWN row count the fan-out targets ~100k rows/partition up
+    to ~3/4 of the cluster's CPUs — the remaining quarter is HEADROOM
+    for the map stages feeding the shuffle (aggregators == cpus is
+    exactly the starvation above, reappearing at the top end) — so a
+    few-hundred-row label table gets 2 partitions, not 16."""
     if requested is not None:
         return max(2, requested)
     try:
         cpus = int(ray.cluster_resources().get("CPU", 0)) or 4
     except Exception:  # noqa: BLE001 — uninitialised Ray in unit contexts
         cpus = 4
+    if rows is not None:
+        cap = min(max(2, cpus), max(16, (cpus * 3) // 4))
+        return max(2, min(cap, -(-rows // 100_000)))
     return max(2, min(16, cpus // 2))
 
 
@@ -614,7 +654,6 @@ def asof_join(
     value_casts: dict[str, str] | None = None,
     n_shards: int | None = None,
     time_buckets: int = 1,
-    small_merge_bytes: int = 64 << 20,
 ) -> Dataset:
     """Distributed AS-OF join (Ray Data has none): for every left row,
     the right row with the greatest ``right_time`` <= ``left_time``
@@ -649,7 +688,7 @@ def asof_join(
     BYTE-GATED small path (same philosophy as ``auto_join`` /
     ``partial_group_aggregate``): when the caller did NOT pin the
     layout (no explicit ``n_shards``, no ``time_buckets``) and the two
-    sides' MEASURED combined size clears ``small_merge_bytes``, the
+    sides' MEASURED combined size is within ``SMALL_BYTES``, the
     tagged union coalesces into ONE task running the IDENTICAL
     ``merge`` closure over the whole frame — the per-key sort+ffill is
     global, so the output is bit-identical (pinned by
@@ -659,7 +698,7 @@ def asof_join(
     monster-key tests) keep exercising the shuffle machinery.
     """
     layout_pinned = n_shards is not None or time_buckets > 1
-    sized_bytes = None
+    small_path = False
     if n_shards is None or time_buckets > 1:
         # materialize BOTH sides before sizing: Dataset.count() on
         # derived lineage executes the whole upstream, and the tagged
@@ -669,7 +708,7 @@ def asof_join(
         # path always materializes: its min/max aggregates would
         # otherwise re-execute the upstream too.
         left, right = left.materialize(), right.materialize()
-        sized_bytes = (left.size_bytes() or 0) + (right.size_bytes() or 0)
+        small_path = not layout_pinned and _fits([left, right], "asof_join")
         if n_shards is None:
             n_shards = data_sized_shards(left.count() + right.count())
     time_buckets = max(1, int(time_buckets))
@@ -792,11 +831,6 @@ def asof_join(
     rt = right.map_batches(tag_right, batch_format="pandas")
     sort_cols = [key, "_t", "_is_left", *value_cols]
     wire_cols = [*left_cols, *value_cols, "_t", "_is_left", "_shard"]
-    small_path = (
-        not layout_pinned
-        and sized_bytes is not None
-        and sized_bytes <= small_merge_bytes
-    )
 
     carries = None
     if time_buckets > 1:
@@ -860,11 +894,7 @@ def asof_join(
     if small_path:
         # one coalesced task, the identical merge over the whole frame —
         # no carries needed (nothing is bucketed), no shuffle
-        return (
-            lt.union(rt)
-            .repartition(1)
-            .map_batches(merge, batch_format="pandas", batch_size=None)
-        )
+        return _coalesced(lt.union(rt), merge, "pandas")
     unioned = lt.union(rt)
     if carries is not None:
         unioned = unioned.union(carries)
@@ -935,9 +965,7 @@ def sessionize(
         if small:
             # byte-gated single-task path (see _window_prep): the merge
             # groups by key internally, so one global call is identical
-            return summaries.repartition(1).map_batches(
-                merge_sessions, batch_format="pandas", batch_size=None
-            )
+            return _coalesced(summaries, merge_sessions, "pandas")
         return summaries.groupby("_kshard").map_groups(
             merge_sessions, batch_format="pandas"
         )
@@ -980,14 +1008,13 @@ def _window_prep(
     ts: str,
     n_shards: int | None,
     time_buckets: int,
-    small_bytes: int = 64 << 20,
 ):
     """Shared sizing for the windowed operators: materialize (count and
     min/max would re-execute lineage), derive shards from data, derive
     the time-bucket axis. Returns (ds, n_shards, time_buckets, t0, span,
     small) — ``small`` is True when the caller did NOT pin the layout
     (no explicit n_shards / time_buckets) and the input's MEASURED size
-    clears ``small_bytes``: every windowed operator's per-group pandas
+    is within ``SMALL_BYTES``: every windowed operator's per-group pandas
     function groups by ``key`` internally, so running it once over the
     whole frame in ONE coalesced task is bit-identical to the key-shard
     shuffle while skipping the shuffle's multi-second fixed cost (the
@@ -998,7 +1025,7 @@ def _window_prep(
     small = False
     if n_shards is None or time_buckets > 1:
         ds = ds.materialize()
-        small = not layout_pinned and (ds.size_bytes() or 0) <= small_bytes
+        small = not layout_pinned and _fits(ds, "window")
         if n_shards is None:
             n_shards = data_sized_shards(ds.count())
     time_buckets = max(1, int(time_buckets))
@@ -1017,9 +1044,7 @@ def _apply_per_key_window(sharded: Dataset, fn, small: bool) -> Dataset:
     ``fn`` must group by the key internally, which makes the two
     transports bit-identical by construction."""
     if small:
-        return sharded.repartition(1).map_batches(
-            fn, batch_format="pandas", batch_size=None
-        )
+        return _coalesced(sharded, fn, "pandas")
     return sharded.groupby("_shard").map_groups(fn, batch_format="pandas")
 
 
@@ -1110,15 +1135,14 @@ def windowed_running_sum(
     keep_cols: Sequence[str] | None = None,
     n_shards: int | None = None,
     time_buckets: int = 1,
-    offsets_broadcast_bytes: int = 64 << 20,
 ) -> Dataset:
     """Per-key RUNNING SUM window (rows unbounded preceding → current,
     ordered by ``order_cols``). One key-shard shuffle by default.
     ``time_buckets`` > 1 splits a monster key by time range using the
     ASSOCIATIVITY of sums: each (key, bucket) cumsums locally and emits
     its bucket TOTAL; a tiny per-key pass turns totals into exclusive
-    prefix OFFSETS per bucket; offsets join back (byte-gated broadcast
-    merge under the gate, engine multi-key hash join above) and add.
+    prefix OFFSETS per bucket; offsets join back (broadcast merge within
+    ``SMALL_BYTES``, engine multi-key hash join above) and add.
     Output identical across bucket settings."""
     order_cols = list(order_cols)
     ts = order_cols[0]
@@ -1173,21 +1197,14 @@ def windowed_running_sum(
         .map_groups(to_offsets, batch_format="pandas")
     ).materialize()
 
+    # every (key, bucket) in the stream exists in offsets by
+    # construction — the inner join is total, dtypes survive
+    on = [key, "_shard"]
+    if _fits(offsets, "windowed_running_sum"):
+        joined = broadcast_join(partial, to_pandas_schema_safe(offsets), on, on)
+    else:
+        joined = hash_join(partial, offsets, on=on)
     out_cols = [key, *keep_cols, out_col]
-    if (offsets.size_bytes() or 0) <= offsets_broadcast_bytes:
-        off_df = to_pandas_schema_safe(offsets)
-        ref = ray.put(off_df)
-
-        def add_offset(df: pd.DataFrame) -> pd.DataFrame:
-            # every (key, bucket) in the stream exists in offsets by
-            # construction — the inner merge is total, dtypes survive
-            m = df.merge(ray.get(ref), on=[key, "_shard"], how="inner")
-            m[out_col] = m[out_col] + m["_offset"]
-            return m[out_cols]
-
-        return partial.map_batches(add_offset, batch_format="pandas")
-
-    joined = hash_join(partial, offsets, on=(key, "_shard"))
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         df[out_col] = df[out_col] + df["_offset"]
@@ -1224,7 +1241,6 @@ def grouped_rank_topk(
     value_col: str,
     k: int,
     rank_col: str = "rank",
-    mapping_broadcast_bytes: int = 64 << 20,
     num_partitions: int | None = None,
 ) -> Dataset:
     """RANK() <= k within each group, descending by ``value_col``, ties
@@ -1239,7 +1255,7 @@ def grouped_rank_topk(
        exact top-k distinct values, their global counts, and therefore
        their RANKS (rank of value v = 1 + rows strictly above v);
     2. the (group, value, rank) mapping — k rows per group — joins back
-       onto the stream: byte-gated broadcast merge under the gate, the
+       onto the stream: broadcast merge within ``SMALL_BYTES``, the
        engine's multi-key hash join above it. Rows whose value misses
        the mapping drop (rank > k).
     """
@@ -1270,17 +1286,10 @@ def grouped_rank_topk(
         cands.groupby(group).map_groups(to_ranks, batch_format="pandas")
     )
 
-    if (mapping.size_bytes() or 0) <= mapping_broadcast_bytes:
-        mdf = to_pandas_schema_safe(mapping)
-        ref = ray.put(mdf)
-
-        def attach(df: pd.DataFrame) -> pd.DataFrame:
-            return df.merge(ray.get(ref), on=[group, value_col], how="inner")
-
-        return ds.map_batches(attach, batch_format="pandas")
-    return hash_join(
-        ds, mapping, on=(group, value_col), num_partitions=num_partitions
-    )
+    on = [group, value_col]
+    if _fits(mapping, "grouped_rank_topk"):
+        return broadcast_join(ds, to_pandas_schema_safe(mapping), on, on)
+    return hash_join(ds, mapping, on=on, num_partitions=num_partitions)
 
 
 def cast_columns(ds: Dataset, types: dict[str, pa.DataType]) -> Dataset:

@@ -27,7 +27,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ray.data import Dataset
-from ray.data.aggregate import Count, Min
+from ray.data.aggregate import Min
+
+from ..pipelines import relops as R
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -37,23 +39,24 @@ def exact_dedup(
     ds: Dataset,
     key: str = "text",
     id_col: str = "doc_id",
-    small_combine_bytes: int = 64 << 20,
 ) -> Dataset:
     """One row per distinct ``key``: (doc_id = min id, dup_count).
 
     Combiner-style: each block pre-aggregates to one (key, min id,
-    count) row per distinct key — duplicate texts collapse BEFORE the
-    shuffle, so the text-keyed exchange moves ≤ blocks × distinct keys
-    rows, never the corpus. The final combine is BYTE-GATED on the
-    MEASURED partial size (one coalesced Arrow group_by task under the
-    gate, the engine's grouped shuffle above it — the
-    ``partial_group_aggregate`` pattern, min-of-mins / sum-of-counts)."""
+    row count) row per distinct key — duplicate texts collapse BEFORE
+    the shuffle, so the text-keyed exchange moves ≤ blocks × distinct
+    keys rows, never the corpus. The final combine is BYTE-GATED on the
+    MEASURED partial size (one coalesced Arrow group_by task within
+    ``relops.SMALL_BYTES``, the engine's grouped shuffle above it — the
+    ``partial_group_aggregate`` pattern, min-of-mins / sum-of-counts).
+    ``dup_count`` counts ROWS, null ids included; the min id skips
+    nulls on both tails."""
 
     def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by([key]).aggregate([(id_col, "min"), (id_col, "count")])
+        g = t.group_by([key]).aggregate([(id_col, "min"), ([], "count_all")])
         return g.rename_columns(
             [
-                {f"{id_col}_min": id_col, f"{id_col}_count": "dup_count"}.get(c, c)
+                {f"{id_col}_min": id_col, "count_all": "dup_count"}.get(c, c)
                 for c in g.column_names
             ]
         )
@@ -70,10 +73,8 @@ def exact_dedup(
         )
         return g.select([id_col, "dup_count"])
 
-    if (partials.size_bytes() or 0) <= small_combine_bytes:
-        return partials.repartition(1).map_batches(
-            combine, batch_format="pyarrow", batch_size=None
-        )
+    if R._fits(partials, "exact_dedup"):
+        return R._coalesced(partials, combine, "pyarrow")
     from ray.data.aggregate import Sum as _Sum
 
     return (
@@ -88,21 +89,18 @@ def exact_dedup_keep_first(
     key: str = "text",
     id_col: str = "doc_id",
     n_shards: int = 256,
-    small_bytes: int = 64 << 20,
 ) -> Dataset:
     """Keep the full first row (min ``id_col``) per distinct key.
 
     Per-block pre-dedup (at most one row per key per block survives),
     then a BYTE-GATED tail over the survivors: one coalesced
-    drop_duplicates task under the gate, ONE key-shard shuffle with a
-    vectorized drop_duplicates per shard above it — no giant per-key
-    group and no Python call per key on either path."""
+    drop_duplicates task within ``relops.SMALL_BYTES``, ONE key-shard
+    shuffle with a vectorized drop_duplicates per shard above it — no
+    giant per-key group and no Python call per key on either path."""
 
     def local_first(g: pd.DataFrame) -> pd.DataFrame:
-        from ..pipelines.relops import shard_of
-
         g = g.sort_values(id_col, kind="mergesort").drop_duplicates(key)
-        return g.assign(_shard=shard_of(g[key], n_shards))
+        return g.assign(_shard=R.shard_of(g[key], n_shards))
 
     def first_in_shard(g: pd.DataFrame) -> pd.DataFrame:
         return (
@@ -112,12 +110,10 @@ def exact_dedup_keep_first(
         )
 
     pre = ds.map_batches(local_first, batch_format="pandas").materialize()
-    if (pre.size_bytes() or 0) <= small_bytes:
+    if R._fits(pre, "exact_dedup_keep_first"):
         # first_in_shard dedups by key globally — one coalesced task is
         # identical to the sharded union of per-shard dedups
-        return pre.repartition(1).map_batches(
-            first_in_shard, batch_format="pandas", batch_size=None
-        )
+        return R._coalesced(pre, first_in_shard, "pandas")
     return pre.groupby("_shard").map_groups(first_in_shard, batch_format="pandas")
 
 
@@ -404,39 +400,6 @@ def connected_components(pairs: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"doc_id": out_doc, "cluster_id": out_cluster})
 
 
-def _join_partitions(requested: int | None = None, rows: int | None = None) -> int:
-    """Join fan-out sized to the cluster and the data: hash-shuffle
-    aggregator actors reserve resources per partition, so 16 partitions
-    on a 4-CPU test cluster starve the map stages (near-deadlock), and
-    16 partitions for a few-hundred-row label table is pure startup
-    overhead. With a KNOWN row count the fan-out targets ~100k
-    rows/partition up to ~3/4 of the cluster's CPUs — the remaining
-    quarter is HEADROOM for the map stages feeding the shuffle
-    (aggregators == cpus is exactly the starvation the small-cluster
-    clamp exists for, reappearing at the top end); with an unknown
-    count it delegates to the shared cluster policy
-    (``relops.join_partitions`` — ONE place owns the starvation fix)."""
-    import ray
-
-    from ..pipelines.relops import join_partitions as cluster_join_partitions
-
-    if requested is not None:
-        return max(2, requested)
-    if rows is not None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        cap = min(max(2, cpus), max(16, (cpus * 3) // 4))
-        return max(2, min(cap, -(-rows // 100_000)))
-    return cluster_join_partitions()
-
-
-def _compact_blocks(ds: Dataset) -> Dataset:
-    """Materialize and drop schema-less EMPTY blocks (shared impl in
-    relops.compact_blocks — see its docstring)."""
-    from ..pipelines.relops import compact_blocks
-
-    return compact_blocks(ds)
-
-
 def _rename(ds: Dataset, mapping: dict[str, str], keep: list[str]) -> Dataset:
     """select+rename as a vectorized Arrow map (no pandas round-trip).
 
@@ -467,12 +430,10 @@ def distinct_pairs(pairs: Dataset, n_shards: int = 256) -> Dataset:
         t = t.select(["left_id", "right_id"]).group_by(
             ["left_id", "right_id"]
         ).aggregate([])
-        from ..pipelines.relops import shard_of
-
         df = t.to_pandas()
         shard = (
-            shard_of(df["left_id"], n_shards)
-            * 31 + shard_of(df["right_id"], n_shards)
+            R.shard_of(df["left_id"], n_shards)
+            * 31 + R.shard_of(df["right_id"], n_shards)
         ) % n_shards
         return pa.Table.from_pandas(
             df.assign(_shard=shard.astype("int32")), preserve_index=False
@@ -571,14 +532,15 @@ def _sig_estimate_filter(t: pa.Table, min_est: float) -> pa.Table:
 # rejected long before the expensive exact verify
 _SIG_MARGIN = 0.25
 
-# broadcast gates: ABSOLUTE byte bounds, never data-proportional. Below
-# them the small side ships once via ray.put instead of paying 2 join
+# broadcast gates: ABSOLUTE bounds, never data-proportional. Below them
+# the small side ships once via ray.put instead of paying 2 join
 # operators' startup; above them the hash-partitioned join path runs.
-_SIG_BROADCAST_BYTES = 64 << 20      # sig table: 520 B/doc → ≤ ~128k docs
+# The signature table (520 B/doc, ≤ ~128k docs) and the survivor
+# shingle map share the one byte budget ``relops.SMALL_BYTES``; the
+# shingle map's bytes are counted WHILE building (bail to the join path
+# the moment it trips), so that gate bounds actual bytes, not a
+# pair-count proxy.
 _SURV_BROADCAST_PAIRS = 4_000_000    # id-set ceiling: ≤ ~64 MB of ids
-_SHINGLE_BROADCAST_BYTES = 64 << 20  # survivor shingle map byte cap —
-# enforced WHILE building (bail to the join path the moment it trips),
-# so the gate bounds actual bytes, not a pair-count proxy
 
 
 def _sig_est_from_maps(t: pa.Table, sig_ref, min_est: float) -> pa.Table:
@@ -655,16 +617,16 @@ def verify_pairs_distributed(
     import ray
 
     docs = ds.select_columns([id_col, text_col])
-    pairs = _compact_blocks(pairs)
+    pairs = R.compact_blocks(pairs)
     n_pairs = pairs.count()
-    nparts = _join_partitions(num_partitions, rows=n_pairs)
+    nparts = R.join_partitions(num_partitions, rows=n_pairs)
     min_est = max(0.0, threshold - _SIG_MARGIN)
 
     # tier 1: signature prefilter (reuse precomputed signatures if given)
     if sigs is None:
         sigs = docs.map_batches(SignatureStage(id_col, text_col, k), batch_format="pyarrow")
     n_docs = ds.count()
-    if broadcast_gates and n_docs * 520 <= _SIG_BROADCAST_BYTES:
+    if broadcast_gates and n_docs * 520 <= R.SMALL_BYTES:
         sig_map: dict = {}
         for b in sigs.iter_batches(batch_format="pyarrow"):
             sig_map.update(zip(b[id_col].to_pylist(), b["sig"].to_pylist()))
@@ -680,7 +642,7 @@ def verify_pairs_distributed(
         rsig = _rename(sigs, {id_col: "right_id", "sig": "right_sig"}, [id_col, "sig"])
         s1 = pairs.join(lsig, join_type="inner", num_partitions=nparts, on=("left_id",))
         s2 = s1.join(rsig, join_type="inner", num_partitions=nparts, on=("right_id",))
-        survivors = _compact_blocks(
+        survivors = R.compact_blocks(
             s2.map_batches(
                 lambda t: _sig_estimate_filter(t, min_est), batch_format="pyarrow"
             )
@@ -713,7 +675,7 @@ def verify_pairs_distributed(
         ):
             vals = b["shingles"].to_pylist()
             sh_bytes += sum(len(v) for v in vals)
-            if sh_bytes > _SHINGLE_BROADCAST_BYTES:
+            if sh_bytes > R.SMALL_BYTES:
                 sh_map = {}
                 break
             sh_map.update(zip(b[id_col].to_pylist(), vals))
@@ -741,8 +703,8 @@ def verify_pairs_distributed(
 
         return survivors.map_batches(verify_bc, batch_format="pyarrow")
 
-    nparts2 = _join_partitions(num_partitions, rows=n_surv)
-    survivors = _compact_blocks(survivors)  # joins below reject empty schema-less blocks
+    nparts2 = R.join_partitions(num_partitions, rows=n_surv)
+    survivors = R.compact_blocks(survivors)  # joins below reject empty schema-less blocks
     shingled = docs.map_batches(ShingleStage(id_col, text_col, k), batch_format="pyarrow")
     left_sh = _rename(shingled, {id_col: "left_id", "shingles": "left_sh"}, [id_col, "shingles"])
     right_sh = _rename(shingled, {id_col: "right_id", "shingles": "right_sh"}, [id_col, "shingles"])
@@ -794,10 +756,10 @@ def cluster_propagate(
         out = connected_components(pd.DataFrame(cols))
         return rd.from_pandas(out)
 
-    pairs = _compact_blocks(pairs)
+    pairs = R.compact_blocks(pairs)
     swapped = _rename(pairs, {"left_id": "dst", "right_id": "src"}, ["left_id", "right_id"])
     fwd = _rename(pairs, {"left_id": "src", "right_id": "dst"}, ["left_id", "right_id"])
-    edges = _compact_blocks(fwd.union(swapped))
+    edges = R.compact_blocks(fwd.union(swapped))
     n_edges = edges.count()
 
     # round 0 is join-free: label(v) = min(v, min direct neighbor) via
@@ -819,9 +781,9 @@ def cluster_propagate(
             batch_format="pyarrow",
         )
     )
-    labels = _compact_blocks(labels)
+    labels = R.compact_blocks(labels)
 
-    nparts = _join_partitions(rows=n_edges)
+    nparts = R.join_partitions(rows=n_edges)
     from ray.data.aggregate import Sum as _Sum
 
     prev_sum = labels.aggregate(_Sum("label", alias_name="s"))["s"]
@@ -831,7 +793,7 @@ def cluster_propagate(
         )
         offers = _rename(offers, {"dst": "node"}, ["dst", "label"])
         merged = offers.union(labels)
-        new_labels = _compact_blocks(
+        new_labels = R.compact_blocks(
             merged.groupby("node")
             .aggregate(Min("label", alias_name="label"))
             .select_columns(["label", "node"])
@@ -856,9 +818,7 @@ def cluster_propagate(
 def _as_pa_type(schema, col: str) -> pa.DataType:
     """Arrow type of ``col`` in a Ray Dataset schema (normalizes the
     numpy dtypes pandas-block schemas report)."""
-    from ..pipelines.relops import _as_arrow_type
-
-    return _as_arrow_type(schema.types[list(schema.names).index(col)])
+    return R._as_arrow_type(schema.types[list(schema.names).index(col)])
 
 
 def _content_key128(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -896,8 +856,6 @@ def exact_collapse(
     Pair with ``representatives`` to derive the unique-text corpus.
     ``n_shards`` defaults to a DATA-SIZED count (the rows are ~25 B, so
     groups stay small even with generous shards)."""
-    from ..pipelines.relops import data_sized_shards
-
     docs = ds.select_columns([id_col, text_col])
 
     def key_batch(t: pa.Table) -> pa.Table:
@@ -920,7 +878,7 @@ def exact_collapse(
     # duplicate full-text copy sits in the object store
     keyed = docs.map_batches(key_batch, batch_format="pyarrow").materialize()
     if n_shards is None:
-        n_shards = data_sized_shards(keyed.count(), target_rows=2_000_000, min_shards=32)
+        n_shards = R.data_sized_shards(keyed.count(), target_rows=2_000_000, min_shards=32)
     shards = n_shards
 
     def add_shard(t: pa.Table) -> pa.Table:
@@ -943,16 +901,15 @@ def representatives(
     mapping: Dataset,
     id_col: str = "doc_id",
     text_col: str = "text",
-    broadcast_bytes: int = 64 << 20,
 ) -> Dataset:
-    """Unique-text corpus (id, text) for a collapse ``mapping``: under
-    an ABSOLUTE byte gate the rep-id set broadcasts once (ray.put) and
+    """Unique-text corpus (id, text) for a collapse ``mapping``: within
+    ``relops.SMALL_BYTES`` the rep-id set broadcasts once (ray.put) and
     the corpus filters IN PLACE — no text moves at all; above it (≳8M
     unique docs) a hash join ships each unique text once."""
     import ray
 
     docs = ds.select_columns([id_col, text_col])
-    reps = _compact_blocks(
+    reps = R.compact_blocks(
         mapping.map_batches(
             lambda t: t.filter(pc.equal(t[id_col], t["rep_id"])).select([id_col]),
             batch_format="pyarrow",
@@ -964,7 +921,7 @@ def representatives(
         return docs.map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
     # gate on the ACTUAL materialized id bytes (string ids can be an
     # order of magnitude wider than the 8-B integer guess)
-    if reps.size_bytes() <= broadcast_bytes:
+    if R._fits(reps, "representatives"):
         chunks = [
             b[id_col].combine_chunks()
             for b in reps.iter_batches(batch_format="pyarrow")
@@ -983,9 +940,9 @@ def representatives(
         # several times — lazy, each pass would re-run ds's full
         # upstream lineage plus this filter
         return docs.map_batches(keep, batch_format="pyarrow").materialize()
-    nparts = _join_partitions(rows=n_reps)
-    return _compact_blocks(
-        _compact_blocks(docs).join(
+    nparts = R.join_partitions(rows=n_reps)
+    return R.compact_blocks(
+        R.compact_blocks(docs).join(
             reps, join_type="inner", num_partitions=nparts, on=(id_col,)
         )
     )
@@ -1004,7 +961,7 @@ def _expand_cross_member_pairs(
     (identical texts ⇒ identical shingle/gram/fingerprint features).
     Returns (left_id, right_id, *value_cols) with each pair oriented
     (min, max), or None when there are no rep pairs."""
-    rp = _compact_blocks(rep_pairs)
+    rp = R.compact_blocks(rep_pairs)
     if rp.count() == 0:
         return None
     ml = _rename(
@@ -1015,10 +972,10 @@ def _expand_cross_member_pairs(
         mapping.select_columns([id_col, "rep_id"]),
         {id_col: "right_doc", "rep_id": "right_id"}, [id_col, "rep_id"],
     )
-    e1 = _compact_blocks(
+    e1 = R.compact_blocks(
         rp.join(ml, join_type="inner", num_partitions=nparts, on=("left_id",))
     )
-    e = _compact_blocks(
+    e = R.compact_blocks(
         e1.join(mr, join_type="inner", num_partitions=nparts, on=("right_id",))
     )
 
@@ -1043,15 +1000,13 @@ def _expand_intra_member_pairs(
     ``make_values(m)`` maps the merged frame (extra cols unsuffixed,
     id suffixed _x/_y) to the int64 value columns of the pair output.
     Returns None when ``tagged`` is empty."""
-    from ..pipelines.relops import data_sized_shards, shard_of
-
-    tagged = _compact_blocks(tagged)
+    tagged = R.compact_blocks(tagged)
     if tagged.count() == 0:
         return None
-    rep_shards = data_sized_shards(n_map)
+    rep_shards = R.data_sized_shards(n_map)
 
     def shard_by_rep(t: pa.Table) -> pa.Table:
-        s = shard_of(t["rep_id"].to_pandas(), rep_shards).to_numpy()
+        s = R.shard_of(t["rep_id"].to_pandas(), rep_shards).to_numpy()
         return t.append_column("_shard", pa.array(s, pa.int64()))
 
     def intra_pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -1145,7 +1100,7 @@ def _adaptive_mapping(
         if (n_docs - n_reps) / n_docs < _COLLAPSE_MIN_DUP_RATE:
             return None
     # compacted only on the ENGAGE path — the skip path never joins
-    return _compact_blocks(mapping)
+    return R.compact_blocks(mapping)
 
 
 def minhash_dedup(
@@ -1223,7 +1178,7 @@ def minhash_dedup(
     import ray.data as rd
 
     id_type = _as_pa_type(mapping.schema(), id_col)
-    rep_labels = _compact_blocks(
+    rep_labels = R.compact_blocks(
         _rename(labels, {"doc_id": "rep_id"}, ["doc_id", "cluster_id"])
     )
     pairs_map = mapping.select_columns([id_col, "rep_id", "group_n", "has_content"])
@@ -1234,11 +1189,11 @@ def minhash_dedup(
             pairs_map.join(
                 rep_labels,
                 join_type="inner",
-                num_partitions=_join_partitions(rows=n_map),
+                num_partitions=R.join_partitions(rows=n_map),
                 on=("rep_id",),
             ).select_columns([id_col, "cluster_id"])
         )
-    exact_only = _compact_blocks(
+    exact_only = R.compact_blocks(
         pairs_map.map_batches(
             lambda t: (
                 lambda f: pa.table(
@@ -1266,7 +1221,7 @@ def minhash_dedup(
                 }
             )
         )
-    both = _compact_blocks(parts[0] if len(parts) == 1 else parts[0].union(parts[1]))
+    both = R.compact_blocks(parts[0] if len(parts) == 1 else parts[0].union(parts[1]))
     return (
         both.groupby(id_col)
         .aggregate(_Min("cluster_id", alias_name="cluster_id"))
@@ -1287,7 +1242,6 @@ def _ngram_pairs_core(
     threshold_num: int = 1,
     threshold_den: int = 2,
     n_shards: int | None = None,
-    sizes_broadcast_bytes: int = 64 << 20,
 ) -> tuple[Dataset, Dataset]:
     """Inverted-index exact-jaccard core over the given corpus — returns
     (pairs, per-doc distinct-gram sizes). See ``ngram_jaccard_pairs``.
@@ -1300,14 +1254,14 @@ def _ngram_pairs_core(
        expands co-occurring pairs (sum of df² work — inherent to exact
        jaccard; oversized gram buckets are LOGGED) and pre-counts them;
     4. pair-shard shuffle sums partial co-occurrence counts → inter;
-    5. per-doc set sizes meet the pair stream by broadcast under an
-       ABSOLUTE byte gate (16 B/doc), hash-join above it; the integer
+    5. per-doc set sizes meet the pair stream by broadcast while their
+       estimate (16 B/doc) is within ``relops.SMALL_BYTES``, hash-join
+       above it; the integer
        filter ``den*inter >= num*(|A|+|B|-inter)`` avoids float compare.
     """
     import ray
 
     from ..functions.urlfns import hash64_batch_fast
-    from ..pipelines.relops import shard_of
 
     def gram_stream(t: pa.Table) -> pa.Table:
         toks = pc.utf8_split_whitespace(t[text_col])
@@ -1356,14 +1310,10 @@ def _ngram_pairs_core(
     if n_shards is None:
         # the materialized gram stream's count is free; each gram/pair
         # shard group must stay one-worker-sized at any corpus scale
-        from ..pipelines.relops import data_sized_shards
-
-        n_shards = data_sized_shards(grams.count(), min_shards=32)
+        n_shards = R.data_sized_shards(grams.count(), min_shards=32)
 
     # per-doc distinct-gram sizes (combiner: one row per doc per block)
-    from ..pipelines.relops import partial_group_aggregate
-
-    sizes = partial_group_aggregate(
+    sizes = R.partial_group_aggregate(
         grams.map_batches(
             lambda t: pa.table(
                 {id_col: t[id_col], "n_grams": pa.array(np.ones(t.num_rows, np.int64))}
@@ -1402,7 +1352,7 @@ def _ngram_pairs_core(
         )
         out.columns = ["left_id", "right_id", "inter"]
         pair_shard = (
-            shard_of(out["left_id"], n_shards) * 31 + shard_of(out["right_id"], n_shards)
+            R.shard_of(out["left_id"], n_shards) * 31 + R.shard_of(out["right_id"], n_shards)
         ) % n_shards
         return out.assign(_pshard=pair_shard.astype("int64"))
 
@@ -1421,7 +1371,7 @@ def _ngram_pairs_core(
     pairs = partial_pairs.groupby("_pshard").map_groups(sum_pairs, batch_format="pandas")
 
     n_docs = ds.count()
-    if n_docs * 16 <= sizes_broadcast_bytes:
+    if n_docs * 16 <= R.SMALL_BYTES:
         size_map: dict = {}
         for b in sizes.iter_batches(batch_format="pyarrow"):
             size_map.update(zip(b[id_col].to_pylist(), b["n_grams"].to_pylist()))
@@ -1447,8 +1397,8 @@ def _ngram_pairs_core(
         return pairs.map_batches(finish, batch_format="pyarrow"), sizes
 
     # join path: sizes meet pairs twice by hash partition
-    nparts = _join_partitions(rows=n_docs)
-    pairs = _compact_blocks(pairs)
+    nparts = R.join_partitions(rows=n_docs)
+    pairs = R.compact_blocks(pairs)
     ls = _rename(sizes, {id_col: "left_id", "n_grams": "na"}, [id_col, "n_grams"])
     rs = _rename(sizes, {id_col: "right_id", "n_grams": "nb"}, [id_col, "n_grams"])
     j = pairs.join(ls, join_type="inner", num_partitions=nparts, on=("left_id",))
@@ -1483,7 +1433,6 @@ def ngram_jaccard_pairs(
     threshold_num: int = 1,
     threshold_den: int = 2,
     n_shards: int | None = None,
-    sizes_broadcast_bytes: int = 64 << 20,
     collapse_exact: bool | str = "auto",
 ) -> Dataset:
     """EXACT word-n-gram Jaccard near-dup pairs (unlike minhash/simhash,
@@ -1520,7 +1469,7 @@ def ngram_jaccard_pairs(
     core_kw = dict(
         id_col=id_col, text_col=text_col, n=n,
         threshold_num=threshold_num, threshold_den=threshold_den,
-        n_shards=n_shards, sizes_broadcast_bytes=sizes_broadcast_bytes,
+        n_shards=n_shards,
     )
     mapping = _adaptive_mapping(
         ds.select_columns([id_col, text_col]), id_col, text_col, collapse_exact
@@ -1533,7 +1482,7 @@ def ngram_jaccard_pairs(
     import ray.data as rd
 
     n_map = mapping.count()
-    nparts = _join_partitions(rows=n_map)
+    nparts = R.join_partitions(rows=n_map)
     id_type = _as_pa_type(mapping.schema(), id_col)
     parts: list[Dataset] = []
 
@@ -1545,10 +1494,10 @@ def ngram_jaccard_pairs(
 
     # same-group pairs: every member pair of a >=2 group whose rep HAS
     # grams is an exact duplicate (inter = union = rep gram count)
-    szs = _compact_blocks(
+    szs = R.compact_blocks(
         _rename(rep_sizes, {id_col: "rep_id", "n_grams": "_ng"}, [id_col, "n_grams"])
     )
-    multi = _compact_blocks(
+    multi = R.compact_blocks(
         mapping.map_batches(
             lambda t: t.filter(pc.greater_equal(t["group_n"], 2)).select(
                 [id_col, "rep_id"]
@@ -1681,9 +1630,7 @@ def _simhash_core(ds: Dataset, id_col="doc_id", text_col="text", max_hamming=3) 
     # fixed count would be the same scale cliff the round-2 verdict
     # flagged for the asof/window stages. ds.count() on a parquet read
     # is metadata-only.
-    from ..pipelines.relops import data_sized_shards
-
-    n_shards = data_sized_shards(ds.count() * n_bands, min_shards=32)
+    n_shards = R.data_sized_shards(ds.count() * n_bands, min_shards=32)
 
     def hash_and_explode(t: pa.Table) -> pa.Table:
         hs = simhash_batch(t[text_col].to_pylist())
@@ -1803,7 +1750,7 @@ def simhash_near_dup(
     rep_pairs = _simhash_core(reps, id_col, text_col, max_hamming)
 
     n_map = mapping.count()
-    nparts = _join_partitions(rows=n_map)
+    nparts = R.join_partitions(rows=n_map)
     id_type = _as_pa_type(mapping.schema(), id_col)
     parts: list[Dataset] = []
     cross = _expand_cross_member_pairs(
@@ -1812,7 +1759,7 @@ def simhash_near_dup(
     if cross is not None:
         parts.append(cross)
 
-    multi = _compact_blocks(
+    multi = R.compact_blocks(
         mapping.map_batches(
             lambda t: t.filter(pc.greater_equal(t["group_n"], 2)).select(
                 [id_col, "rep_id"]

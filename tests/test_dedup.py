@@ -753,13 +753,14 @@ def test_minhash_string_ids_through_collapse(ray_session):
     assert len(a) >= 4  # the 3 clones + the near-dup all cluster
 
 
-def test_representatives_join_path_parity(ray_session):
+def test_representatives_join_path_parity(ray_session, monkeypatch):
     """representatives() above the broadcast byte gate (forced with
-    broadcast_bytes=0) must yield the same unique-text corpus as the
+    ``SMALL_BYTES`` = 0) must yield the same unique-text corpus as the
     broadcast filter path."""
     import pandas as pd
     import ray.data as rd
 
+    from bbcrawl_ray.pipelines import relops as R
     from bbcrawl_ray.stages.dedup import exact_collapse, representatives
 
     rows = [(i, f"text body {i % 4} shared") for i in range(12)]
@@ -767,14 +768,49 @@ def test_representatives_join_path_parity(ray_session):
     ds = rd.from_pandas(df)
     mapping = exact_collapse(ds).materialize()
 
-    def collect(broadcast_bytes):
-        out = representatives(ds, mapping, broadcast_bytes=broadcast_bytes).to_pandas()
+    def collect(budget):
+        with monkeypatch.context() as m:
+            m.setattr(R, "SMALL_BYTES", budget)
+            out = representatives(ds, mapping).to_pandas()
         return out.sort_values("doc_id").reset_index(drop=True)
 
     a = collect(64 << 20)   # broadcast filter path
     b = collect(0)          # forced hash-join path
     pd.testing.assert_frame_equal(a, b, check_dtype=False)
     assert len(a) == 4 and set(a["doc_id"]) == {0, 1, 2, 3}
+
+
+def test_exact_dedup_counts_rows_with_null_ids(ray_session, monkeypatch):
+    """exact_dedup's dup_count counts ROWS, null ids included, and the
+    min id skips nulls — on the coalesced combine and on the engine
+    groupby (``SMALL_BYTES`` = 0) alike."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data as rd
+
+    from bbcrawl_ray.pipelines import relops as R
+    from bbcrawl_ray.stages.dedup import exact_dedup
+
+    src = rd.from_arrow(
+        [
+            pa.table(
+                {
+                    "doc_id": pa.array([1, None, 2], pa.int64()),
+                    "text": ["a", "a", "b"],
+                }
+            ),
+            pa.table({"doc_id": pa.array([None, 3], pa.int64()), "text": ["c", "a"]}),
+        ]
+    )
+    for budget in (64 << 20, 0):
+        with monkeypatch.context() as m:
+            m.setattr(R, "SMALL_BYTES", budget)
+            out = exact_dedup(src).to_pandas()
+        got = {
+            (None if pd.isna(v) else int(v), int(c))
+            for v, c in zip(out["doc_id"], out["dup_count"])
+        }
+        assert got == {(1, 3), (2, 1), (None, 1)}, (budget, out)
 
 
 def test_adaptive_probe_decisions(ray_session):

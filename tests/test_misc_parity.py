@@ -554,6 +554,48 @@ def test_window_small_paths_parity(ray_session):
     )
 
 
+def test_running_sum_offsets_join_paths_agree(ray_session, monkeypatch):
+    """windowed_running_sum with time buckets joins its per-bucket
+    offsets back onto the stream: the broadcast merge and the engine
+    hash join (``SMALL_BYTES`` = 0) give identical rows, equal to the
+    pandas cumsum oracle."""
+    import numpy as np
+    import pandas as pd
+    import ray.data as rd
+
+    from bbcrawl_ray.pipelines import relops as R
+
+    rng = np.random.default_rng(7)
+    n = 3_000
+    df = pd.DataFrame(
+        {
+            "k": rng.integers(0, 6, n).astype(np.int64),
+            "t": pd.Timestamp("2024-01-01")
+            + pd.to_timedelta(rng.integers(0, 10**5, n), unit="s"),
+            "v": rng.integers(-50, 50, n).astype(np.int64),
+            "eid": np.arange(n, dtype=np.int64),
+        }
+    )
+    cols = ["k", "eid", "running"]
+    kw = dict(
+        key="k", order_cols=["t", "eid"], value_col="v", keep_cols=["eid"],
+        out_col="running", time_buckets=5,
+    )
+
+    def run():
+        out = R.windowed_running_sum(rd.from_pandas(df).repartition(6), **kw).to_pandas()
+        return out[cols].sort_values(cols, kind="mergesort").reset_index(drop=True)
+
+    broadcast = run()
+    monkeypatch.setattr(R, "SMALL_BYTES", 0)
+    hashed = run()
+    s = df.sort_values(["k", "t", "eid"], kind="mergesort")
+    oracle = s.assign(running=s.groupby("k")["v"].cumsum())[cols]
+    oracle = oracle.sort_values(cols, kind="mergesort").reset_index(drop=True)
+    pd.testing.assert_frame_equal(broadcast, oracle)
+    pd.testing.assert_frame_equal(hashed, oracle)
+
+
 def test_asof_small_path_parity(ray_session):
     """asof_join's byte-gated single-task path (default layout, small
     measured inputs) is bit-identical to the pinned distributed path
@@ -884,7 +926,7 @@ def test_windowed_lag_and_running_sum_monster_key(ray_session):
     )
 
 
-def test_grouped_rank_topk_monster_key_and_ties(ray_session):
+def test_grouped_rank_topk_monster_key_and_ties(ray_session, monkeypatch):
     """grouped_rank_topk: RANK<=k with ties, monster-key safe — one
     group holds ~all rows with heavy value ties; output equals the
     pandas rank oracle on both the broadcast and the forced hash-join
@@ -893,6 +935,7 @@ def test_grouped_rank_topk_monster_key_and_ties(ray_session):
     import pandas as pd
     import ray.data as rd
 
+    from bbcrawl_ray.pipelines import relops
     from bbcrawl_ray.pipelines.relops import grouped_rank_topk
 
     rng = np.random.default_rng(17)
@@ -921,9 +964,8 @@ def test_grouped_rank_topk_monster_key_and_ties(ray_session):
         return out.reset_index(drop=True)
 
     broadcast = norm(grouped_rank_topk(ds(), "g", "v", 2, rank_col="rank"))
-    hashed = norm(
-        grouped_rank_topk(ds(), "g", "v", 2, rank_col="rank", mapping_broadcast_bytes=0)
-    )
+    monkeypatch.setattr(relops, "SMALL_BYTES", 0)
+    hashed = norm(grouped_rank_topk(ds(), "g", "v", 2, rank_col="rank"))
     expect = oracle[cols].sort_values(cols, kind="mergesort").reset_index(drop=True)
     assert len(expect) > 2 * 4  # ties actually expanded beyond k rows/group
     pd.testing.assert_frame_equal(broadcast, expect)

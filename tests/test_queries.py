@@ -91,14 +91,25 @@ def test_driver_window_assumption_holds():
     assert res["window_holds"], res
 
 
-def test_embedding_pairs_exact_over_gate_fails_loudly(ray_session, sf_dir):
+def test_embedding_pairs_exact_over_gate_fails_loudly(ray_session, sf_dir, monkeypatch):
     """The labeled O(n^2) baseline must never silently pull a
     corpus-sized table to the driver: above the byte gate it raises,
     naming the scale path (embedding_near_dup)."""
-    from bbcrawl_ray.pipelines.queries_text import q_embedding_pairs_exact
+    from bbcrawl_ray.pipelines import queries_text
 
+    monkeypatch.setattr(queries_text, "EXACT_PAIRS_MAX_BYTES", 1)
     with pytest.raises(ValueError, match="embedding_near_dup"):
-        q_embedding_pairs_exact(sf_dir, broadcast_bytes=1)
+        queries_text.q_embedding_pairs_exact(sf_dir)
+
+
+def test_read_dim_pandas_rejects_scaling_tables(sf_dir):
+    """The driver-side dimension read serves only constant-size tables;
+    any other name raises, also under ``python -O``."""
+    from bbcrawl_ray.pipelines import relops as R
+
+    assert len(R.read_dim_pandas(sf_dir, "nation")) == 25
+    with pytest.raises(ValueError, match="constant dims"):
+        R.read_dim_pandas(sf_dir, "customer")
 
 
 def test_knn_ivf_recall_entry(ray_session, sf_dir):
@@ -138,7 +149,7 @@ def test_knn_ivf_recall_entry(ray_session, sf_dir):
     ],
 )
 def test_auto_join_paths_agree(
-    ray_session, sf_dir, left_spec, right_spec, left_on, right_on, out_cols
+    ray_session, sf_dir, monkeypatch, left_spec, right_spec, left_on, right_on, out_cols
 ):
     """auto_join's broadcast and hash transports produce identical rows
     (the gate only picks transport, never semantics)."""
@@ -154,11 +165,8 @@ def test_auto_join_paths_agree(
         return df.sort_values(out_cols, kind="mergesort").reset_index(drop=True)
 
     broadcast = norm(R.auto_join(left, right, left_on=left_on, right_on=right_on))
-    hashed = norm(
-        R.auto_join(
-            left, right, left_on=left_on, right_on=right_on, broadcast_bytes=0
-        )
-    )
+    monkeypatch.setattr(R, "SMALL_BYTES", 0)
+    hashed = norm(R.auto_join(left, right, left_on=left_on, right_on=right_on))
     assert len(broadcast) > 0
     pd.testing.assert_frame_equal(broadcast, hashed)
 
@@ -179,7 +187,7 @@ def test_auto_join_empty_right(ray_session):
     assert len(out) == 0
 
 
-def test_auto_semi_join_paths_agree(ray_session, sf_dir):
+def test_auto_semi_join_paths_agree(ray_session, sf_dir, monkeypatch):
     """auto_semi_join's broadcast is_in filter and hash left_semi /
     left_anti transports produce identical rows when the right side is
     forced over the byte gate (the gate only picks transport, never
@@ -205,21 +213,23 @@ def test_auto_semi_join_paths_agree(ray_session, sf_dir):
         broadcast = norm(
             R.auto_semi_join(cust, orders, on="c_custkey", right_on="o_custkey", anti=anti)
         )
-        hashed = norm(
-            R.auto_semi_join(
-                cust, orders, on="c_custkey", right_on="o_custkey", anti=anti,
-                broadcast_bytes=0,
+        with monkeypatch.context() as m:
+            m.setattr(R, "SMALL_BYTES", 0)
+            hashed = norm(
+                R.auto_semi_join(
+                    cust, orders, on="c_custkey", right_on="o_custkey", anti=anti
+                )
             )
-        )
         assert len(broadcast) > 0
         pd.testing.assert_frame_equal(broadcast, hashed)
 
 
-def test_auto_join_left_outer_paths_agree(ray_session, sf_dir):
+def test_auto_join_left_outer_paths_agree(ray_session, sf_dir, monkeypatch):
     """auto_join's left_outer transports (broadcast left-merge vs engine
     left_outer hash join) produce identical rows INCLUDING unmatched
-    lefts, identical column sets (right key dropped), and identical
-    NaN-for-miss payload semantics."""
+    lefts, identical column sets (right key dropped), identical
+    NaN-for-miss payload semantics, and one Arrow schema per transport
+    (every block: the right side's payload types, nullable)."""
     import pandas as pd
 
     from bbcrawl_ray.pipelines import relops as R
@@ -242,39 +252,61 @@ def test_auto_join_left_outer_paths_agree(ray_session, sf_dir):
             cust, counts, left_on="c_custkey", right_on="o_custkey", how="left_outer"
         )
     )
-    hashed = norm(
-        R.auto_join(
-            cust, counts, left_on="c_custkey", right_on="o_custkey",
-            how="left_outer", broadcast_bytes=0,
+    with monkeypatch.context() as m:
+        m.setattr(R, "SMALL_BYTES", 0)
+        hashed = norm(
+            R.auto_join(
+                cust, counts, left_on="c_custkey", right_on="o_custkey",
+                how="left_outer",
+            )
         )
-    )
-    pd.testing.assert_frame_equal(broadcast, hashed, check_dtype=False)
+    pd.testing.assert_frame_equal(broadcast, hashed, check_dtype=True)
 
     # unmatched-left semantics on a synthetic miss (sf0.001 has no
-    # zero-order customer): both transports emit the row with NaN payload
+    # zero-order customer): both transports emit the row with NaN payload.
+    # Four left blocks — fully matched, mixed, fully unmatched, mixed —
+    # so a per-batch merge that widened only the blocks with misses
+    # would show as two block schemas
     import pyarrow as pa
+    import ray
     import ray.data as rd
 
-    l = rd.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64())}))
-    r = rd.from_arrow(
-        pa.table({"rk": pa.array([1], pa.int64()), "v": pa.array([10], pa.int64())})
+    l = rd.from_arrow(
+        [pa.table({"k": pa.array(range(i * 4, i * 4 + 4), pa.int64())}) for i in range(4)]
     )
-    for gate in (64 << 20, 0):
-        out = (
-            R.auto_join(l, r, left_on="k", right_on="rk", how="left_outer",
-                        broadcast_bytes=gate)
-            .to_pandas()
-            .sort_values("k")
-            .reset_index(drop=True)
+    matched = [0, 1, 2, 3, 5, 6, 13]
+    r = rd.from_arrow(
+        pa.table(
+            {
+                "rk": pa.array(matched, pa.int64()),
+                "v": pa.array([10 * x for x in matched], pa.int64()),
+                "s": pa.array([f"s{x}" for x in matched]),
+            }
         )
-        assert sorted(out.columns) == ["k", "v"], (gate, out.columns)
-        assert len(out) == 2 and pd.isna(out.loc[1, "v"]), (gate, out)
+    )
+    outs = []
+    for gate in (64 << 20, 0):
+        with monkeypatch.context() as m:
+            m.setattr(R, "SMALL_BYTES", gate)
+            ds = R.auto_join(l, r, left_on="k", right_on="rk", how="left_outer").materialize()
+        # empty hash partitions carry no schema; only row blocks count
+        blocks = [b for b in ray.get(ds.to_arrow_refs()) if b.num_rows]
+        schemas = {b.schema.remove_metadata() for b in blocks}
+        assert len(schemas) == 1, (gate, schemas)
+        out = ds.to_pandas().sort_values("k").reset_index(drop=True)
+        assert sorted(out.columns) == ["k", "s", "v"], (gate, out.columns)
+        assert len(out) == 16, (gate, out)
+        miss = ~out["k"].isin(matched)
+        assert out.loc[miss, "v"].isna().all() and out.loc[miss, "s"].isna().all(), (gate, out)
+        assert (out.loc[~miss, "v"] == out.loc[~miss, "k"] * 10).all(), (gate, out)
+        outs.append(out[["k", "v", "s"]])
+    pd.testing.assert_frame_equal(outs[0], outs[1], check_dtype=True)
 
     with pytest.raises(ValueError, match="full_outer"):
         R.auto_join(cust, counts, left_on="c_custkey", right_on="o_custkey", how="full_outer")
 
 
-def test_partial_group_aggregate_combine_paths_agree(ray_session, sf_dir):
+def test_partial_group_aggregate_combine_paths_agree(ray_session, sf_dir, monkeypatch):
     """partial_group_aggregate's byte-gated tails (one-task Arrow combine
     vs the engine's distributed groupby) produce identical results —
     the gate only picks the combine transport, never semantics."""
@@ -302,10 +334,10 @@ def test_partial_group_aggregate_combine_paths_agree(ray_session, sf_dir):
             src, ["l_returnflag"], sums={"qty": "qty_cents"}, count_as="n"
         )
     )
+    monkeypatch.setattr(R, "SMALL_BYTES", 0)
     engine = norm(
         R.partial_group_aggregate(
-            src, ["l_returnflag"], sums={"qty": "qty_cents"}, count_as="n",
-            small_combine_bytes=0,
+            src, ["l_returnflag"], sums={"qty": "qty_cents"}, count_as="n"
         )
     )
     assert list(small.columns) == list(engine.columns) == ["l_returnflag", "qty", "n"]
@@ -313,7 +345,7 @@ def test_partial_group_aggregate_combine_paths_agree(ray_session, sf_dir):
     pd.testing.assert_frame_equal(small, engine)
 
 
-def test_distinct_topk_grouped_topk_paths_agree(ray_session, sf_dir):
+def test_distinct_topk_grouped_topk_paths_agree(ray_session, sf_dir, monkeypatch):
     """distinct / topk / grouped_topk byte-gated tails: the single-task
     small path and the engine shuffle path produce identical results."""
     import pandas as pd
@@ -326,10 +358,15 @@ def test_distinct_topk_grouped_topk_paths_agree(ray_session, sf_dir):
         df = ds.to_pandas()[cols]
         return df.sort_values(cols, kind="mergesort").reset_index(drop=True)
 
+    def forced(run):
+        with monkeypatch.context() as m:
+            m.setattr(R, "SMALL_BYTES", 0)
+            return run()
+
     cols = ["l_returnflag", "l_linestatus"]
     pd.testing.assert_frame_equal(
         norm(R.distinct(li, cols), cols),
-        norm(R.distinct(li, cols, small_bytes=0), cols),
+        forced(lambda: norm(R.distinct(li, cols), cols)),
     )
 
     orders = R.read_table(
@@ -338,10 +375,10 @@ def test_distinct_topk_grouped_topk_paths_agree(ray_session, sf_dir):
     tcols = ["o_orderkey", "o_custkey", "o_totalprice"]
     pd.testing.assert_frame_equal(
         norm(R.topk(orders, ["o_totalprice", "o_orderkey"], [True, False], 10), tcols),
-        norm(
-            R.topk(orders, ["o_totalprice", "o_orderkey"], [True, False], 10,
-                   small_bytes=0),
-            tcols,
+        forced(
+            lambda: norm(
+                R.topk(orders, ["o_totalprice", "o_orderkey"], [True, False], 10), tcols
+            )
         ),
     )
 
@@ -353,11 +390,11 @@ def test_distinct_topk_grouped_topk_paths_agree(ray_session, sf_dir):
     )
     pd.testing.assert_frame_equal(
         norm(R.grouped_topk(cust, **kw), gcols),
-        norm(R.grouped_topk(cust, small_bytes=0, **kw), gcols),
+        forced(lambda: norm(R.grouped_topk(cust, **kw), gcols)),
     )
 
 
-def test_exact_dedup_paths_agree(ray_session, sf_dir):
+def test_exact_dedup_paths_agree(ray_session, sf_dir, monkeypatch):
     """exact_dedup / exact_dedup_keep_first byte-gated tails: single-task
     combine vs engine shuffle produce identical results."""
     import pandas as pd
@@ -372,19 +409,22 @@ def test_exact_dedup_paths_agree(ray_session, sf_dir):
         return df.sort_values(cols, kind="mergesort").reset_index(drop=True)
 
     cols = ["doc_id", "dup_count"]
+    kcols = ["doc_id", "text"]
+    small = norm(exact_dedup(docs), cols)
+    small_first = norm(exact_dedup_keep_first(docs), kcols)
+    monkeypatch.setattr(R, "SMALL_BYTES", 0)
     pd.testing.assert_frame_equal(
+        small,
         norm(exact_dedup(docs), cols),
-        norm(exact_dedup(docs, small_combine_bytes=0), cols),
         check_dtype=False,
     )
-    kcols = ["doc_id", "text"]
     pd.testing.assert_frame_equal(
+        small_first,
         norm(exact_dedup_keep_first(docs), kcols),
-        norm(exact_dedup_keep_first(docs, small_bytes=0), kcols),
     )
 
 
-def test_partial_group_aggregate_empty_paths_agree(ray_session):
+def test_partial_group_aggregate_empty_paths_agree(ray_session, monkeypatch):
     """Empty input behaves identically on both combine transports (0 rows
     both ways; Ray 2.49 drops columns on zero-row to_pandas regardless —
     that engine quirk is handled by to_pandas_schema_safe at call sites)."""
@@ -397,13 +437,12 @@ def test_partial_group_aggregate_empty_paths_agree(ray_session):
         pa.table({"k": pa.array([], pa.string()), "v": pa.array([], pa.int64())})
     )
     for gate in (64 << 20, 0):
-        out = R.partial_group_aggregate(
-            empty, ["k"], sums={"s": "v"}, count_as="n", small_combine_bytes=gate
-        )
+        monkeypatch.setattr(R, "SMALL_BYTES", gate)
+        out = R.partial_group_aggregate(empty, ["k"], sums={"s": "v"}, count_as="n")
         assert out.count() == 0
 
 
-def test_auto_semi_join_null_keys_agree(ray_session):
+def test_auto_semi_join_null_keys_agree(ray_session, monkeypatch):
     """Null keys behave identically on both transports (ADVICE r4): a
     null RIGHT key is dropped from the key set; a null LEFT key never
     matches — excluded by semi, KEPT by anti (SQL NOT EXISTS)."""
@@ -431,11 +470,9 @@ def test_auto_semi_join_null_keys_agree(ray_session):
         broadcast = norm(
             R.auto_semi_join(left, right, on="k", right_on="rk", anti=anti)
         )
-        hashed = norm(
-            R.auto_semi_join(
-                left, right, on="k", right_on="rk", anti=anti, broadcast_bytes=0
-            )
-        )
+        with monkeypatch.context() as m:
+            m.setattr(R, "SMALL_BYTES", 0)
+            hashed = norm(R.auto_semi_join(left, right, on="k", right_on="rk", anti=anti))
         assert list(broadcast["v"]) == expect, f"anti={anti}"
         pd.testing.assert_frame_equal(broadcast, hashed)
 
@@ -474,19 +511,21 @@ def test_grouped_topk_matches_pandas(ray_session, sf_dir):
     pd.testing.assert_frame_equal(got, ref)
 
 
-def test_doc_token_freq_join_path_parity(ray_session, sf_dir):
-    """Forcing the vocab over the byte gate (vocab_broadcast_bytes=0)
+def test_doc_token_freq_join_path_parity(ray_session, sf_dir, monkeypatch):
+    """Forcing the vocab over the byte gate (``SMALL_BYTES`` = 0)
     routes doc_token_freq through the hash-join path and must reproduce
     the broadcast path exactly — zero-token docs included."""
     import pandas as pd
 
+    from bbcrawl_ray.pipelines import relops as R
     from bbcrawl_ray.pipelines.queries_text import q_doc_token_freq
 
     def norm(ds):
         return ds.to_pandas().sort_values("doc_id").reset_index(drop=True)
 
     broadcast = norm(q_doc_token_freq(sf_dir))
-    joined = norm(q_doc_token_freq(sf_dir, vocab_broadcast_bytes=0))
+    monkeypatch.setattr(R, "SMALL_BYTES", 0)
+    joined = norm(q_doc_token_freq(sf_dir))
     assert len(broadcast) > 0
     pd.testing.assert_frame_equal(broadcast, joined)
 
