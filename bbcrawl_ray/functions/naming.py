@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import posixpath
-from urllib.parse import urlsplit
 
-from .urlfns import file_name_from_url
+from .urlfns import file_name_from_url, url_path
 
 
 class NamingError(ValueError):
@@ -37,7 +36,7 @@ def unique_name(page_num: int, fileid: int, link: str) -> str:
     and the "extension" becomes the ENTIRE path (which then trips the
     '/'-in-filename panic in the reference — here it raises).
     """
-    path = urlsplit(link).path
+    path = url_path(link)
     li = path.rfind(".")
     if li + 1 < len(path):
         suffix = path[li + 1 :]
@@ -107,7 +106,7 @@ def av_tag_names(srcs: list[str]) -> tuple[dict[str, str], list[tuple[str, str]]
     out: dict[str, str] = {}
     errors: list[tuple[str, str]] = []
     for src in srcs:
-        path = urlsplit(src).path
+        path = url_path(src)
         name = file_name_from_url(src)
         if not name:
             errors.append(

@@ -23,11 +23,6 @@ import re
 from functools import lru_cache
 from urllib.parse import parse_qsl, quote, urlencode, urljoin, urlsplit, urlunsplit
 
-# parse results are immutable → safe to memoize; page URLs repeat for
-# every link on the page, so this removes most urlsplit work in the
-# extraction hot path
-_urlsplit = lru_cache(maxsize=8192)(urlsplit)
-
 _SCHEME_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9+.\-]*:")
 
 
@@ -43,10 +38,26 @@ def smallest_substr_right(s: str, delimiter: str) -> str:
     return ""
 
 
+def url_path(url: str) -> str:
+    """``urlsplit(url).path``.
+
+    The media srcs of a crawled page are nearly all a plain absolute
+    path (``/a/b.jpg``) or ``http(s)://host/a/b.jpg``; with no query,
+    fragment, tab/CR/LF or IPv6 bracket (and an ASCII host) their path
+    is a slice, so those skip the split. Anything else takes it."""
+    if not ("?" in url or "#" in url or "\t" in url or "\n" in url or "\r" in url):
+        if url[:1] == "/" and url[1:2] != "/":
+            return url
+        for prefix in ("http://", "https://"):
+            if url.startswith(prefix) and url.isascii() and "[" not in url and "]" not in url:
+                cut = url.find("/", len(prefix))
+                return url[cut:] if cut >= 0 else ""
+    return urlsplit(url).path
+
+
 def file_name_from_url(url: str) -> str:
     """Basename of the URL path (after the last '/'); "" when empty."""
-    path = urlsplit(url).path
-    return smallest_substr_right(path, "/")
+    return smallest_substr_right(url_path(url), "/")
 
 
 def is_abs(url: str) -> bool:
@@ -89,22 +100,30 @@ def _request_uri(link: str) -> str:
     return requri
 
 
+# page URLs repeat for every link on the page, so the base is parsed
+# once per page; the cache holds strings only (bounded, immutable)
+@lru_cache(maxsize=8192)
+def _page_base(page_url: str) -> str:
+    """``scheme://hostname`` of a page URL: rel2abs's base."""
+    d = urlsplit(page_url)
+    if not d.scheme:
+        raise UrlError("page_url must be absolute")
+    return f"{d.scheme}://{d.hostname or ''}"
+
+
 def rel2abs(page_url: str, link: str) -> str:
     """Reference-parity relative→absolute resolution (NOT RFC 3986).
 
     Rebuilds from the page's scheme + hostname + the link's request-URI,
     discarding the page's path context and port.
     """
-    d = _urlsplit(page_url)
-    if not d.scheme:
-        raise UrlError("page_url must be absolute")
+    base = _page_base(page_url)
     if is_abs(link):
         raise UrlError("link is already absolute")
     requri = _request_uri(link)
-    host = d.hostname or ""
     if requri.startswith("/"):
-        return f"{d.scheme}://{host}{requri}"
-    return f"{d.scheme}://{host}/{requri}"
+        return base + requri
+    return f"{base}/{requri}"
 
 
 def resolve_link(page_url: str, link: str, strict_rfc3986: bool = False) -> str:

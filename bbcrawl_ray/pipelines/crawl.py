@@ -379,11 +379,13 @@ def _run_epochs(cfg: CrawlConfig, resume: bool, seen: SeenSet, lease_s: float) -
         if epoch == start_epoch:
             # new shards answer once started: that wait is part of leasing
             lease_s += time.perf_counter() - t0
-        # -- budget + skew split (the one host-keyed shuffle), checkpointed
+        # -- budget + skew split (the one host-keyed shuffle), checkpointed;
+        # the budgeted path materializes inside budget_frontier, so the
+        # timer starts before it
+        t_write = time.perf_counter()
         budgeted = budget_frontier(frontier, cfg.per_host_budget, cfg.skew_split_threshold)
         # hive-partitioned on `selected`: downstream reads are directory-
         # pruned and selected/deferred counts come from parquet footers
-        t_write = time.perf_counter()
         frontier_dir = ckpt.write_part(
             epoch, "frontier", budgeted, partition_cols=["selected"]
         )

@@ -5,10 +5,22 @@ in, one documents row (the ``input_hint`` span shape) plus N manifest
 rows out. Regexes are module-level compiled constants, so stateless
 tasks pay no per-batch setup.
 
+Each page is parsed once into a flat pre-order document
+(``functions/htmldom.py``): per-node ``tag``/``attrs``/``text`` lists
+plus ``end``, where node ``i``'s subtree is the index range
+``[i, end[i])``. Index order is document order because the builders
+append every node under the innermost open element. One loop over
+that range (``_page_pass``) appends the page's spans, and its
+discovered links when asked, straight into the batch's column lists;
+the manifests read the same document by range scans (an audio/video
+element's sources are its descendants ``range(i + 1, end[i])``). The
+src manifest reuses the URLs the span loop resolved, so each src is
+resolved once.
+
 Semantics parity (see SURVEY.md §2.3):
-- src crawler        — /root/reference/libcrawl/crawler_src.go:36-86
+- src crawler        — reference libcrawl/crawler_src.go:36-86
 - scrapeAV           — crawler_src.go:140-186
-- vb-attachments     — /root/reference/libcrawl/crawlers.go:247-374
+- vb-attachments     — reference libcrawl/crawlers.go:247-374
 - file crawler       — crawlers.go:182-212
 - per-page ``fileid`` (reset to 1, crawler_src.go:38) and per-post
   ``attid`` (increments on failures too, crawlers.go:268-308) are
@@ -22,22 +34,23 @@ what the configured crawler would download.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+import numpy as np
 import pyarrow as pa
 
 from .. import schemas
 from ..cli.partition import CrawlerSpec
 from ..functions import naming
+from ..functions.charsets import decode_body
 from ..functions.htmldom import (
-    Node,
+    NodeRef,
     attr_val,
     element_by_id,
     elements_by_attr_match,
-    elements_by_tag,
+    first_attr,
     match_attrs,
     parse_html,
-    walk,
 )
 from ..functions.urlfns import file_name_from_url, resolve_link
 
@@ -45,22 +58,7 @@ VB4_POST_ID = re.compile(r"^post_?[0-9]+$")
 VB4_ATTACHMENT_ID = re.compile(r"^attachment[0-9]+$")
 _DIGITS = re.compile(r"[0-9]+")
 
-MEDIA_TAGS = ("img", "audio", "video", "source", "track")
-
-
-@dataclass
-class Span:
-    kind: str
-    text: str = ""
-    media_ref: str = ""
-
-    def as_dict(self, offset: int) -> dict:
-        return {
-            "kind": self.kind,
-            "text": self.text,
-            "media_ref": self.media_ref,
-            "offset": offset,
-        }
+MEDIA_TAGS = frozenset(("img", "audio", "video", "source", "track"))
 
 
 @dataclass
@@ -74,31 +72,78 @@ class ManifestRow:
     error: str = ""
 
 
-def extract_spans(page_url: str, root: Node) -> list[Span]:
-    """Full interleaved span sequence in DOM pre-order (FIXTURES.md §F3).
+def _page_pass(
+    page_url: str,
+    root: NodeRef,
+    kinds: list[str],
+    texts: list[str],
+    refs: list[str],
+    links: list[str] | None = None,
+    resolved: dict[str, str] | None = None,
+) -> int:
+    """One pre-order scan of ``root``'s subtree: appends its spans to
+    the column lists ``kinds``/``texts``/``refs`` and returns how many
+    (FIXTURES.md §F3):
 
     - text nodes → kind=text (stripped, empty skipped)
-    - img/audio/video/source/track with src → media span
     - any element with id ~ ^attachment[0-9]+$ and href → kind=attachment
+    - other img/audio/video/source/track with src → media span
+
+    With ``links`` it also appends the frontier-discovery links (no
+    reference counterpart): hrefs of non-attachment anchors,
+    absolutized, unresolvable ones dropped. With ``resolved`` it
+    records each media src it resolved (src → absolute URL).
     """
-    spans: list[Span] = []
-    for n in walk(root):
-        if n.tag is None:
-            t = n.text.strip()
+    doc = root.doc
+    tag_of, attrs_of, text_of = doc.tag, doc.attrs, doc.text
+    n0 = len(kinds)
+    for i in range(root.i, doc.end[root.i]):
+        tag = tag_of[i]
+        if tag is None:
+            t = text_of[i].strip()
             if t:
-                spans.append(Span("text", text=t))
+                kinds.append("text")
+                texts.append(t)
+                refs.append("")
             continue
-        node_id = attr_val(n, "id")
+        attrs = attrs_of[i]
+        if not attrs:
+            continue
+        node_id = first_attr(attrs, "id")
         if node_id and VB4_ATTACHMENT_ID.match(node_id):
-            href = attr_val(n, "href")
+            href = first_attr(attrs, "href")
             if href:
-                spans.append(Span("attachment", media_ref=resolve_link(page_url, href)))
-            continue
-        if n.tag in MEDIA_TAGS:
-            src = attr_val(n, "src")
+                ref = resolve_link(page_url, href)
+                kinds.append("attachment")
+                texts.append("")
+                refs.append(ref)
+        elif tag in MEDIA_TAGS:
+            src = first_attr(attrs, "src")
             if src:
-                spans.append(Span(n.tag, media_ref=resolve_link(page_url, src)))
-    return spans
+                ref = resolve_link(page_url, src)
+                kinds.append(tag)
+                texts.append("")
+                refs.append(ref)
+                if resolved is not None:
+                    resolved[src] = ref
+        elif tag == "a" and links is not None:
+            href = first_attr(attrs, "href")
+            if href:
+                try:
+                    links.append(resolve_link(page_url, href))
+                except ValueError:
+                    pass
+    return len(kinds) - n0
+
+
+def extract_spans(page_url: str, root: NodeRef) -> list[tuple[str, str, str]]:
+    """Full interleaved span sequence of ``root``'s subtree in DOM
+    pre-order, as ``(kind, text, media_ref)`` tuples."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    refs: list[str] = []
+    _page_pass(page_url, root, kinds, texts, refs)
+    return list(zip(kinds, texts, refs))
 
 
 # ---------------------------------------------------------------------------
@@ -106,25 +151,42 @@ def extract_spans(page_url: str, root: Node) -> list[Span]:
 
 
 def src_crawler_manifest(
-    page_url: str, page_num: int, root: Node, spec: CrawlerSpec
+    page_url: str,
+    page_num: int,
+    root: NodeRef,
+    spec: CrawlerSpec,
+    resolved: dict[str, str] | None = None,
 ) -> list[ManifestRow]:
-    """Replicates SrcCrawler.Crawl + scrapeAV + uniqueName semantics."""
+    """Replicates SrcCrawler.Crawl + scrapeAV + uniqueName semantics.
+
+    ``resolved`` (src → absolute URL, as ``_page_pass`` records it)
+    saves re-resolving the srcs the span loop already resolved."""
     attrs_filter = [(k, v) for k, vals in spec.attrs.items() for v in vals]
-    wanted = set(spec.tags)
+    wanted = set(spec.tags) & {"audio", "img", "video"}
+    memo = resolved or {}
     rows: list[ManifestRow] = []
     fileid = 1  # reset per page — crawler_src.go:38
 
     def resolve(link: str) -> tuple[str, str]:
+        ref = memo.get(link)
+        if ref is not None:
+            return ref, ""
         try:
             return resolve_link(page_url, link), ""
         except ValueError as e:
             return link, str(e)
 
-    for n in elements_by_tag(root, "audio", "img", "video"):
-        if n.tag not in wanted or not match_attrs(n, attrs_filter):
+    doc = root.doc
+    tag_of, attrs_of, end = doc.tag, doc.attrs, doc.end
+    for i in range(root.i, end[root.i]):
+        tag = tag_of[i]
+        if tag not in wanted:
             continue
-        if n.tag == "img":
-            link = attr_val(n, "src")
+        attrs = attrs_of[i]
+        if attrs_filter and not match_attrs(NodeRef(doc, i), attrs_filter):
+            continue
+        if tag == "img":
+            link = first_attr(attrs, "src")
             if not link:
                 continue
             try:
@@ -139,13 +201,15 @@ def src_crawler_manifest(
             )
         else:  # audio / video → scrapeAV (crawler_src.go:140-186)
             downloads: list[str] = []
-            own = attr_val(n, "src")
+            own = first_attr(attrs, "src")
             if own:
                 downloads.append(own)
-            for child in elements_by_tag(n, "source", "track"):
-                link = attr_val(child, "src")
-                if link:
-                    downloads.append(link)
+            # the element's descendants are the index range after it
+            for j in range(i + 1, end[i]):
+                if tag_of[j] in ("source", "track"):
+                    link = first_attr(attrs_of[j], "src")
+                    if link:
+                        downloads.append(link)
             if not downloads:
                 continue
             if len(downloads) == 1:
@@ -185,7 +249,7 @@ def src_crawler_manifest(
 # vb-attachments crawler manifest
 
 
-def vb_post_id(node: Node) -> str:
+def vb_post_id(node: NodeRef) -> str:
     """First digit-run of the matching id attr (crawlers.go:334-342)."""
     for k, v in node.attrs:
         if k == "id" and VB4_POST_ID.match(v):
@@ -195,7 +259,7 @@ def vb_post_id(node: Node) -> str:
 
 
 def vb_attachments_manifest(
-    page_url: str, page_num: int, root: Node, spec: CrawlerSpec
+    page_url: str, page_num: int, root: NodeRef, spec: CrawlerSpec
 ) -> list[ManifestRow]:
     """Replicates VBAttachmentCrawler.Crawl (crawlers.go:247-312)."""
     rows: list[ManifestRow] = []
@@ -303,6 +367,11 @@ def register_extractor(name: str, fn) -> None:
 # batch function
 
 
+def _columns(rows: list[tuple], width: int) -> list[tuple]:
+    """Row tuples → ``width`` column tuples."""
+    return list(zip(*rows)) if rows else [()] * width
+
+
 class ParsePages:
     """map_batches fn: PAGES rows → (documents_full ⊕ manifest) rows.
 
@@ -327,22 +396,8 @@ class ParsePages:
         # worker's module-level EXTRACTORS dict never sees driver-side
         # register_extractor() calls
         self.extractor = extractor if extractor is not None else EXTRACTORS.get(spec.crawler)
-
-    def _links(self, page_url: str, root: Node) -> list[str]:
-        """Frontier-discovery extension (no reference counterpart): hrefs of
-        non-attachment anchors, absolutized."""
-        out = []
-        for n in elements_by_tag(root, "a"):
-            node_id = attr_val(n, "id")
-            if node_id and VB4_ATTACHMENT_ID.match(node_id):
-                continue
-            href = attr_val(n, "href")
-            if href:
-                try:
-                    out.append(resolve_link(page_url, href))
-                except ValueError:
-                    pass
-        return out
+        # the built-in src extractor takes the span loop's resolved srcs
+        self.shares_srcs = self.extractor is src_crawler_manifest
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         # column-wise extraction: the headers map and any column the
@@ -363,62 +418,65 @@ class ParsePages:
         span_ref: list[str] = []
         span_off: list[int] = []
         span_lens: list[int] = []
-        man_rows: list[tuple] = []  # (doc_id, seed_id, page_num, url, ManifestRow)
+        # (record_kind, doc_id, seed_id, page_num, url, media_ref, out_dir,
+        #  out_name, post_id, att_ordinal, status, error)
+        man_rows: list[tuple] = []
+        excluded = set(self.spec.exclude)
+
+        def add_manifest(head: tuple, m: ManifestRow) -> None:
+            status = m.status
+            if status == "pending" and m.media_ref in excluded:
+                status = "excluded"
+            man_rows.append(
+                ("manifest", *head, m.media_ref, m.out_dir, m.out_name, m.post_id,
+                 m.att_ordinal, status, m.error)
+            )
 
         for url, seed_id, page_num, err, enc, body in zip(
             urls, seed_ids, page_nums, errors_in, encodings, bodies
         ):
-            doc_id = f"{seed_id}/{page_num}"
+            head = (f"{seed_id}/{page_num}", seed_id, page_num, url)
             if err:
                 if self.strict_errors:
                     # reference aborts the whole run on page errors (api.go:104-113)
                     raise RuntimeError(f"page fetch failed: {url}: {err}")
-                man_rows.append(
-                    (doc_id, seed_id, page_num, url, ManifestRow("", status="error", error=err))
-                )
+                add_manifest(head, ManifestRow("", status="error", error=err))
                 continue
             if self.spec.crawler == "file":
-                doc_rows.append((doc_id, seed_id, page_num, url))
+                doc_rows.append(head)
                 span_lens.append(0)
                 for m in file_crawler_manifest(url, page_num):
-                    man_rows.append((doc_id, seed_id, page_num, url, m))
+                    add_manifest(head, m)
                 continue
-            from ..functions.charsets import decode_body
-
             text, enc_err = decode_body(body, enc or "utf-8")
             if enc_err:
                 # BodyUTF8 parity (encoding.go:10-16): an unsupported
                 # charset is an error, never a silent utf-8 mangle
                 if self.strict_errors:
                     raise RuntimeError(f"page decode failed: {url}: {enc_err}")
-                man_rows.append(
-                    (doc_id, seed_id, page_num, url, ManifestRow("", status="error", error=enc_err))
-                )
+                add_manifest(head, ManifestRow("", status="error", error=enc_err))
                 continue
             root = parse_html(text)
-            spans = extract_spans(url, root)
-            doc_rows.append((doc_id, seed_id, page_num, url))
-            span_lens.append(len(spans))
-            for i, s in enumerate(spans):
-                span_kind.append(s.kind)
-                span_text.append(s.text)
-                span_ref.append(s.media_ref)
-                span_off.append(i)
-            if self.discover_links:
-                for link in self._links(url, root):
-                    man_rows.append(
-                        (doc_id, seed_id, page_num, url, ManifestRow(link, status="", error="link"))
-                    )
-            manifest = (
-                self.extractor(url, page_num, root, self.spec) if self.extractor else []
-            )
+            links: list[str] | None = [] if self.discover_links else None
+            resolved: dict[str, str] | None = {} if self.shares_srcs else None
+            n = _page_pass(url, root, span_kind, span_text, span_ref, links, resolved)
+            doc_rows.append(head)
+            span_lens.append(n)
+            span_off.extend(range(n))
+            if links:
+                for link in links:
+                    man_rows.append(("link", *head, link, "", "", "", 0, "", ""))
+            if self.shares_srcs:
+                manifest = src_crawler_manifest(url, page_num, root, self.spec, resolved)
+            elif self.extractor:
+                manifest = self.extractor(url, page_num, root, self.spec)
+            else:
+                manifest = []
             for m in manifest:
-                man_rows.append((doc_id, seed_id, page_num, url, m))
+                add_manifest(head, m)
 
-        excluded = set(self.spec.exclude)
         n_docs = len(doc_rows)
-        import numpy as np
-
+        doc_ids, doc_seeds, doc_pages, doc_urls = _columns(doc_rows, 4)
         offsets = np.zeros(n_docs + 1, dtype=np.int32)
         np.cumsum(span_lens, out=offsets[1:])
         span_struct = pa.StructArray.from_arrays(
@@ -434,11 +492,11 @@ class ParsePages:
         docs_tbl = pa.table(
             {
                 "record_kind": pa.array(["doc"] * n_docs, pa.string()),
-                "doc_id": pa.array([d for d, _, _, _ in doc_rows], pa.string()),
+                "doc_id": pa.array(doc_ids, pa.string()),
                 "spans": spans_col,
-                "seed_id": pa.array([s for _, s, _, _ in doc_rows], pa.string()),
-                "page_num": pa.array([p for _, _, p, _ in doc_rows], pa.int64()),
-                "url": pa.array([u for _, _, _, u in doc_rows], pa.string()),
+                "seed_id": pa.array(doc_seeds, pa.string()),
+                "page_num": pa.array(doc_pages, pa.int64()),
+                "url": pa.array(doc_urls, pa.string()),
                 "media_ref": pa.array([""] * n_docs, pa.string()),
                 "out_dir": pa.array([""] * n_docs, pa.string()),
                 "out_name": pa.array([""] * n_docs, pa.string()),
@@ -451,37 +509,27 @@ class ParsePages:
             }
         )
         n_man = len(man_rows)
+        (kinds, m_doc, m_seed, m_page, m_url, m_ref, m_dir, m_name, m_post, m_att,
+         m_status, m_error) = _columns(man_rows, 12)
         empty_spans = pa.ListArray.from_arrays(
             pa.array(np.zeros(n_man + 1, dtype=np.int32), pa.int32()),
             span_struct.slice(0, 0),
         )
         man_tbl = pa.table(
             {
-                "record_kind": pa.array(
-                    ["link" if m.error == "link" else "manifest" for *_, m in man_rows],
-                    pa.string(),
-                ),
-                "doc_id": pa.array([d for d, *_ in man_rows], pa.string()),
+                "record_kind": pa.array(kinds, pa.string()),
+                "doc_id": pa.array(m_doc, pa.string()),
                 "spans": empty_spans,
-                "seed_id": pa.array([s for _, s, *_ in man_rows], pa.string()),
-                "page_num": pa.array([p for _, _, p, _, _ in man_rows], pa.int64()),
-                "url": pa.array([u for _, _, _, u, _ in man_rows], pa.string()),
-                "media_ref": pa.array([m.media_ref for *_, m in man_rows], pa.string()),
-                "out_dir": pa.array([m.out_dir for *_, m in man_rows], pa.string()),
-                "out_name": pa.array([m.out_name for *_, m in man_rows], pa.string()),
-                "post_id": pa.array([m.post_id for *_, m in man_rows], pa.string()),
-                "att_ordinal": pa.array([m.att_ordinal for *_, m in man_rows], pa.int32()),
-                "status": pa.array(
-                    [
-                        "excluded" if m.media_ref in excluded and m.status == "pending" else m.status
-                        for *_, m in man_rows
-                    ],
-                    pa.string(),
-                ),
-                "error": pa.array(
-                    ["" if m.error == "link" else m.error for *_, m in man_rows],
-                    pa.string(),
-                ),
+                "seed_id": pa.array(m_seed, pa.string()),
+                "page_num": pa.array(m_page, pa.int64()),
+                "url": pa.array(m_url, pa.string()),
+                "media_ref": pa.array(m_ref, pa.string()),
+                "out_dir": pa.array(m_dir, pa.string()),
+                "out_name": pa.array(m_name, pa.string()),
+                "post_id": pa.array(m_post, pa.string()),
+                "att_ordinal": pa.array(m_att, pa.int32()),
+                "status": pa.array(m_status, pa.string()),
+                "error": pa.array(m_error, pa.string()),
                 "bytes": pa.array([0] * n_man, pa.int64()),
                 "header_filename": pa.array([""] * n_man, pa.string()),
             }

@@ -4,7 +4,8 @@
 Default: runs the headline crawl pipeline + representative relational /
 training-data queries over ``$GRAFT_SF_DIR`` (default
 /root/testdata/sf0.1) under ``ray.init(address="local",
-num_cpus=$RAY_GRAFT_CPUS)`` (default 32) and prints ONE JSON line:
+num_cpus=$RAY_GRAFT_CPUS)`` (default: the CPUs this process may run
+on) and prints ONE JSON line:
 
     {"metric": "crawl_pages_per_s", "value": <headline seconds>,
      "unit": "sec", "queries": {...}, "sf": ..., "num_cpus": N,
@@ -371,9 +372,14 @@ def run_queries(sf_dir: str, repeats: int = 3) -> dict:
     return out
 
 
+def _num_cpus() -> int:
+    """``$RAY_GRAFT_CPUS``, else the CPUs this process may run on."""
+    return int(os.environ.get("RAY_GRAFT_CPUS") or len(os.sched_getaffinity(0)))
+
+
 def main() -> None:
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    num_cpus = _num_cpus()
 
     _set_worker_log_config()
     import ray
@@ -507,7 +513,7 @@ def scaling() -> None:
 
 def main_crawl_only() -> None:
     sf_dir = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-    num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+    num_cpus = _num_cpus()
     _set_worker_log_config()
     import ray
 

@@ -24,9 +24,7 @@ VB_SPEC = CrawlerSpec(crawler="vb-attachments")
 def assert_same_extraction(url: str, html: str):
     fast = parse_html_fast(html)
     std = parse_html_stdlib(html)
-    s_f = [(s.kind, s.text, s.media_ref) for s in extract_spans(url, fast)]
-    s_s = [(s.kind, s.text, s.media_ref) for s in extract_spans(url, std)]
-    assert s_f == s_s
+    assert extract_spans(url, fast) == extract_spans(url, std)
     m_f = [vars(m) for m in src_crawler_manifest(url, 1, fast, SRC_SPEC)]
     m_s = [vars(m) for m in src_crawler_manifest(url, 1, std, SRC_SPEC)]
     assert m_f == m_s
@@ -59,6 +57,10 @@ def test_fast_parser_edge_cases():
         "<P CLASS=\"UPPER\">case folding</P>",
         "",
         "<video src=/v.mp4><source src=/w.mp4></video>",
+        # attribute sections html.parser reads its own way: a quote in
+        # an attribute name ends the tag early, '==' skips to the value
+        '<a/">">',
+        "<img src==/a.jpg>",
     ]
     for html in cases:
         assert_same_extraction("http://h.example/x", html)
@@ -67,9 +69,9 @@ def test_fast_parser_edge_cases():
 def test_fast_parser_falls_back_on_cdata_elements():
     html = "<script>if (a < b) { x('<img src=fake.jpg>') }</script><img src='/r.jpg'>"
     spans = [
-        (s.kind, s.media_ref)
-        for s in extract_spans("http://h.example/x", parse_html_fast(html))
-        if s.kind != "text"
+        (kind, ref)
+        for kind, _, ref in extract_spans("http://h.example/x", parse_html_fast(html))
+        if kind != "text"
     ]
     # the <img> inside the script must NOT be extracted
     assert spans == [("img", "http://h.example/r.jpg")]

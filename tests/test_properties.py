@@ -1,10 +1,12 @@
 """Property-based tests (SURVEY.md §5 item 5) — hypothesis, no Ray."""
 
 import string
+from urllib.parse import urlsplit
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bbcrawl_ray.functions import urlfns
 from bbcrawl_ray.functions.urlfns import canonicalize_url, hash64
 from bbcrawl_ray.sources.pagers import PagerError, expand_cutter
 from bbcrawl_ray.state.seen import _BloomSeen, _CuckooSeen, _ExactSeen
@@ -29,6 +31,24 @@ def test_canonicalize_idempotent(host, path, q):
     assert canonicalize_url(c1) == c1  # idempotence
     assert "#" not in c1 and ":80" not in c1
     assert c1.startswith("http://")
+
+
+@given(
+    head=st.sampled_from(["", "/", "//", "http://", "https://", "HTTP://", "http:", "mailto:", " /"]),
+    body=st.text(alphabet="ab/.:?#[]@é \t\n\r-", max_size=20),
+)
+@settings(max_examples=400, deadline=None)
+def test_url_path_matches_urlsplit(head, body):
+    url = head + body
+    try:
+        want = urlsplit(url).path
+    except ValueError:
+        want = ValueError
+    try:
+        got = urlfns.url_path(url)
+    except ValueError:
+        got = ValueError
+    assert got == want, url
 
 
 @given(
