@@ -131,8 +131,12 @@ def q_pricing_summary(sf_dir: str) -> Dataset:
     out = R.partial_group_aggregate(
         prepped,
         ["l_returnflag", "l_linestatus"],
-        sums={"sum_qty": "qty", "sum_base_cents": "base_cents", "sum_disc_milli": "disc_milli"},
-        count_as="count_order",
+        {
+            "sum_qty": ("sum", "qty"),
+            "sum_base_cents": ("sum", "base_cents"),
+            "sum_disc_milli": ("sum", "disc_milli"),
+            "count_order": ("count", None),
+        },
     )
     return out
 
@@ -196,8 +200,7 @@ def q_segment_revenue(sf_dir: str) -> Dataset:
     return R.partial_group_aggregate(
         joined,
         ["c_mktsegment"],
-        sums={"revenue_cents": "price_cents"},
-        count_as="order_count",
+        {"revenue_cents": ("sum", "price_cents"), "order_count": ("count", None)},
     )
 
 
@@ -211,7 +214,7 @@ def q_nation_customers(sf_dir: str) -> Dataset:
     cust = R.read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
     joined = R.broadcast_join(cust, dim, left_on="c_nationkey", right_on="n_nationkey")
     return R.partial_group_aggregate(
-        joined, ["r_name", "n_name"], sums={}, count_as="customer_count"
+        joined, ["r_name", "n_name"], {"customer_count": ("count", None)}
     )
 
 
@@ -246,13 +249,11 @@ def q_events_hourly(sf_dir: str) -> Dataset:
         )
 
     prepped = ds.map_batches(prep, batch_format="pyarrow")
-    out = R.partial_group_aggregate(
+    return R.partial_group_aggregate(
         prepped,
         ["event_type", "hour"],
-        sums={"value_cents_sum": "value_cents"},
-        count_as="event_count",
+        {"value_cents_sum": ("sum", "value_cents"), "event_count": ("count", None)},
     )
-    return R.cast_columns(out, {"hour": pa.timestamp("us")})
 
 
 def q_supplier_lineitem_volume(sf_dir: str) -> Dataset:
@@ -280,8 +281,7 @@ def q_supplier_lineitem_volume(sf_dir: str) -> Dataset:
     return R.partial_group_aggregate(
         joined,
         ["s_name"],
-        sums={"volume_cents": "price_cents"},
-        count_as="item_count",
+        {"volume_cents": ("sum", "price_cents"), "item_count": ("count", None)},
     )
 
 
@@ -314,7 +314,7 @@ def q_brand_price_stats(sf_dir: str) -> Dataset:
             }
         )
 
-    return R.group_aggregate(
+    return R.partial_group_aggregate(
         ds.map_batches(prep, batch_format="pyarrow"),
         ["p_brand"],
         {
@@ -346,7 +346,7 @@ def q_urgent_or_big_orders(sf_dir: str) -> Dataset:
 def q_shipdate_range(sf_dir: str) -> Dataset:
     """Min/Max over timestamps per group."""
     ds = R.read_table(sf_dir, "lineitem", columns=["l_returnflag", "l_shipdate"])
-    out = R.group_aggregate(
+    return R.partial_group_aggregate(
         ds,
         ["l_returnflag"],
         {
@@ -354,9 +354,6 @@ def q_shipdate_range(sf_dir: str) -> Dataset:
             "last_ship": ("max", "l_shipdate"),
             "n_items": ("count", None),
         },
-    )
-    return R.cast_columns(
-        out, {"first_ship": pa.timestamp("us"), "last_ship": pa.timestamp("us")}
     )
 
 
@@ -380,8 +377,7 @@ def q_order_lineitem_join(sf_dir: str) -> Dataset:
     return R.partial_group_aggregate(
         joined,
         ["o_orderpriority"],
-        sums={"revenue_cents": "price_cents"},
-        count_as="item_count",
+        {"revenue_cents": ("sum", "price_cents"), "item_count": ("count", None)},
     )
 
 
@@ -389,8 +385,8 @@ def q_top_orders_per_segment(sf_dir: str) -> Dataset:
     """Grouped top-k: 3 priciest orders per market segment (ties broken
     by orderkey). The customer side goes through the byte-gated
     ``auto_join`` (fact-sized at corpus scale), and ``grouped_topk``
-    prunes each block to its own per-segment top-3 BEFORE the grouped
-    shuffle — 5 segments would otherwise funnel the whole order table
+    prunes each block to its own per-segment top-3 BEFORE the keyed
+    tail — 5 segments would otherwise funnel the whole order table
     into 5 pandas groups."""
     cust = R.read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     orders = R.read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"])
@@ -429,13 +425,11 @@ def q_events_sliding_2h(sf_dir: str) -> Dataset:
         )
 
     assigned = ds.map_batches(assign, batch_format="pyarrow")
-    out = R.partial_group_aggregate(
+    return R.partial_group_aggregate(
         assigned,
         ["event_type", "window_start"],
-        sums={"value_cents_sum": "value_cents"},
-        count_as="event_count",
+        {"value_cents_sum": ("sum", "value_cents"), "event_count": ("count", None)},
     )
-    return R.cast_columns(out, {"window_start": pa.timestamp("us")})
 
 
 def q_events_value_delta(sf_dir: str) -> Dataset:
@@ -507,8 +501,7 @@ def q_price_quantiles(sf_dir: str) -> Dataset:
     counts = R.partial_group_aggregate(
         ds.map_batches(prep, batch_format="pyarrow"),
         ["l_returnflag", "cents"],
-        sums={},
-        count_as="cnt",
+        {"cnt": ("count", None)},
     )
 
     def rank_select(g: pd.DataFrame) -> pd.DataFrame:
@@ -574,7 +567,7 @@ def q_quantity_bands(sf_dir: str) -> Dataset:
         return pa.table({"band": pa.array(labels[idx], pa.string())})
 
     assigned = ds.map_batches(assign, batch_format="pyarrow")
-    return R.partial_group_aggregate(assigned, ["band"], sums={}, count_as="item_count")
+    return R.partial_group_aggregate(assigned, ["band"], {"item_count": ("count", None)})
 
 
 def q_sample_orders(sf_dir: str) -> Dataset:
@@ -622,7 +615,7 @@ def q_customer_order_counts(sf_dir: str) -> Dataset:
     scales with customers, so the MEASURED size decides), and missing
     counts coalesce to 0."""
     orders = R.read_table(sf_dir, "orders", columns=["o_custkey"])
-    counts = R.partial_group_aggregate(orders, ["o_custkey"], sums={}, count_as="order_count")
+    counts = R.partial_group_aggregate(orders, ["o_custkey"], {"order_count": ("count", None)})
     cust = R.read_table(sf_dir, "customer", columns=["c_custkey"])
     joined = R.auto_join(
         cust, counts, left_on="c_custkey", right_on="o_custkey", how="left_outer"
@@ -647,10 +640,10 @@ def q_user_activity_full_outer(sf_dir: str) -> Dataset:
     side, the engine coalesces the key into the left column, missing
     counts become 0."""
     ev = R.read_table(sf_dir, "events", columns=["user_id"])
-    nev = R.partial_group_aggregate(ev, ["user_id"], sums={}, count_as="n_events")
+    nev = R.partial_group_aggregate(ev, ["user_id"], {"n_events": ("count", None)})
     orders = R.read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"])
     big = R.filter_arrow(orders, lambda t: pc.greater(t["o_totalprice"], 300000.0))
-    nord = R.partial_group_aggregate(big, ["o_custkey"], sums={}, count_as="n_big_orders")
+    nord = R.partial_group_aggregate(big, ["o_custkey"], {"n_big_orders": ("count", None)})
     joined = R.hash_join(
         nev, nord, on="user_id", right_on="o_custkey", join_type="full_outer"
     )
@@ -689,8 +682,7 @@ def q_revenue_rollup(sf_dir: str) -> Dataset:
     finest = R.partial_group_aggregate(
         ds.map_batches(prep, batch_format="pyarrow"),
         ["l_returnflag", "l_linestatus"],
-        sums={"revenue_cents": "revenue_cents"},
-        count_as="item_count",
+        {"revenue_cents": ("sum", "revenue_cents"), "item_count": ("count", None)},
     )
 
     # the finest level is bounded by |returnflag|×|linestatus| (a
@@ -765,7 +757,7 @@ def q_nation_year_revenue(sf_dir: str) -> Dataset:
 
     prepped = joined.map_batches(prep, batch_format="pyarrow")
     return R.partial_group_aggregate(
-        prepped, ["n_name"], sums={f"y{y}_cents": f"y{y}_cents" for y in _PIVOT_YEARS}
+        prepped, ["n_name"], {f"y{y}_cents": ("sum", f"y{y}_cents") for y in _PIVOT_YEARS}
     )
 
 
@@ -839,7 +831,7 @@ def q_segment_top_priority(sf_dir: str) -> Dataset:
     agg = R.partial_group_aggregate(
         joined.map_batches(prep, batch_format="pyarrow"),
         ["c_mktsegment", "o_orderpriority"],
-        sums={"revenue_cents": "revenue_cents"},
+        {"revenue_cents": ("sum", "revenue_cents")},
     )
 
     def top1(g: pd.DataFrame) -> pd.DataFrame:
@@ -963,7 +955,7 @@ def q_nation_revenue(sf_dir: str) -> Dataset:
     agg = R.partial_group_aggregate(
         local.select_columns(["c_nationkey", "revenue_milli"]),
         ["c_nationkey"],
-        sums={"revenue_milli": "revenue_milli"},
+        {"revenue_milli": ("sum", "revenue_milli")},
     )
     named = R.broadcast_join(
         agg, asia, left_on="c_nationkey", right_on="n_nationkey"

@@ -109,7 +109,7 @@ def q_doc_token_freq(sf_dir: str) -> Dataset:
     vocab_ds = R.partial_group_aggregate(
         ds.map_batches(local_counts, batch_format="pyarrow"),
         ["token"],
-        sums={"n": "n"},
+        {"n": ("sum", "n")},
     ).materialize()
 
     if R._fits(vocab_ds, "q_doc_token_freq"):
@@ -168,7 +168,7 @@ def q_doc_token_freq(sf_dir: str) -> Dataset:
     agg = R.partial_group_aggregate(
         joined.map_batches(weigh, batch_format="pyarrow"),
         ["doc_id"],
-        sums={"sum_freq": "wfreq", "n_tok": "cnt"},
+        {"sum_freq": ("sum", "wfreq"), "n_tok": ("sum", "cnt")},
     )
     out = R.hash_join(
         ds.select_columns(["doc_id"]), agg, on="doc_id", join_type="left_outer"
@@ -235,7 +235,7 @@ def q_top_tokens(sf_dir: str) -> Dataset:
     counts = R.partial_group_aggregate(
         ds.map_batches(local_counts, batch_format="pyarrow"),
         ["token"],
-        sums={"n": "n"},
+        {"n": ("sum", "n")},
     )
     return R.topk(counts, ["n", "token"], [True, False], 20)
 
@@ -256,7 +256,7 @@ def q_dedup_exact(sf_dir: str) -> Dataset:
 def q_dedup_keep_first(sf_dir: str) -> Dataset:
     """Keep-first exact dedup: the FULL first row (min doc_id) per
     distinct 30-char content-prefix key — the scale-path variant of
-    ``dedup_exact`` (per-block pre-dedup + one key-shard shuffle)."""
+    ``dedup_exact`` (per-block pre-dedup + the keyed tail)."""
     ds = R.read_table(sf_dir, "documents", columns=["doc_id", "text"])
     keyed = ds.map_batches(
         lambda t: pa.table(
@@ -264,9 +264,7 @@ def q_dedup_keep_first(sf_dir: str) -> Dataset:
         ),
         batch_format="pyarrow",
     )
-    return D.exact_dedup_keep_first(
-        keyed, key="key", n_shards=R.data_sized_shards(ds.count(), min_shards=32)
-    )
+    return D.exact_dedup_keep_first(keyed, key="key")
 
 
 def q_minhash_clusters_distributed(sf_dir: str) -> Dataset:
@@ -324,10 +322,10 @@ def q_ngram_cluster_sizes(sf_dir: str) -> Dataset:
     verdict #4)."""
     clusters = q_ngram_clusters(sf_dir)
     sizes = R.partial_group_aggregate(
-        clusters, ["cluster_id"], sums={}, count_as="cluster_n"
+        clusters, ["cluster_id"], {"cluster_n": ("count", None)}
     ).select_columns(["cluster_n"])
     return R.partial_group_aggregate(
-        sizes, ["cluster_n"], sums={}, count_as="n_clusters"
+        sizes, ["cluster_n"], {"n_clusters": ("count", None)}
     )
 
 
@@ -351,8 +349,7 @@ def q_source_mix(sf_dir: str) -> pd.DataFrame:
     agg = R.partial_group_aggregate(
         ds.map_batches(prep, batch_format="pyarrow"),
         ["source"],
-        sums={"sum_tokens": "n_tokens"},
-        count_as="n_docs",
+        {"sum_tokens": ("sum", "n_tokens"), "n_docs": ("count", None)},
     ).to_pandas()
     total = int(agg["sum_tokens"].sum())
     # an all-empty-text corpus: the SQL oracle's share is NULL (x / NULL
@@ -377,11 +374,11 @@ def q_corpus_prep(sf_dir: str) -> Dataset:
        n_tokens <= 90, alpha chars >= half of all chars, >= 1 English
        stopword;
     2. near-identity removal: keep-first exact dedup on the 30-char
-       content prefix (per-block pre-dedup, then one key-shard shuffle
-       — surviving rows cross the wire once, data-sized shards);
+       content prefix (per-block pre-dedup, then the keyed tail —
+       surviving rows cross the wire at most once, data-sized shards);
     3. per-source accounting: docs kept + token/char volume via the
        combiner-style grouped sum (one row per source per block enters
-       the final shuffle).
+       the final combine).
 
     Every stage streams — the gate prunes before the only wide step,
     and nothing data-proportional lands on the driver."""
@@ -403,14 +400,15 @@ def q_corpus_prep(sf_dir: str) -> Dataset:
         return t.append_column("key", pc.utf8_slice_codeunits(t["text"], 0, 30))
 
     gated = ds.map_batches(gate, batch_format="pyarrow")
-    kept = D.exact_dedup_keep_first(
-        gated, key="key", n_shards=R.data_sized_shards(ds.count(), min_shards=32)
-    )
+    kept = D.exact_dedup_keep_first(gated, key="key")
     return R.partial_group_aggregate(
         kept,
         ["source"],
-        sums={"sum_tokens": "n_tokens", "sum_chars": "n_chars_q"},
-        count_as="n_docs",
+        {
+            "sum_tokens": ("sum", "n_tokens"),
+            "sum_chars": ("sum", "n_chars_q"),
+            "n_docs": ("count", None),
+        },
     )
 
 
@@ -852,7 +850,7 @@ def q_grouped_approx_distinct(sf_dir: str) -> pd.DataFrame:
     pairs = R.distinct(ds, ["o_orderpriority", "o_custkey"])
     exact = (
         R.partial_group_aggregate(
-            pairs, ["o_orderpriority"], sums={}, count_as="distinct_exact"
+            pairs, ["o_orderpriority"], {"distinct_exact": ("count", None)}
         )
         .to_pandas()
     )
@@ -886,7 +884,7 @@ def q_approx_quantiles(sf_dir: str) -> pd.DataFrame:
     est = approx_quantiles(cents_ds, "cents", qs)
 
     counts = (
-        R.partial_group_aggregate(cents_ds, ["cents"], sums={}, count_as="cnt")
+        R.partial_group_aggregate(cents_ds, ["cents"], {"cnt": ("count", None)})
         .to_pandas()
         .sort_values("cents")
     )

@@ -10,7 +10,7 @@ Scale posture:
 - reads prune columns at the source (``read_parquet(columns=...)``);
 - per-batch work is vectorized pyarrow.compute over zero-copy Arrow;
 - aggregations pre-combine inside ``map_batches`` (partial aggregate)
-  so the ``groupby`` shuffle only moves one row per key per block;
+  so the keyed tail only sees one row per key per block;
 - small-side joins broadcast via ``ray.put`` once per job, never a
   shuffle; lookups happen with pandas merge / pyarrow ``is_in`` per
   batch;
@@ -18,10 +18,15 @@ Scale posture:
 
 Transport: every operator here (and the dedup / text queries built on
 them) that can run its tail either as one coalesced task / broadcast or
-as an engine shuffle / hash join decides with ``_fits`` against the ONE
-budget ``SMALL_BYTES`` — measured bytes of the materialized input, never
-a row count, so nothing data-proportional lands in one task or on the
-driver as the corpus grows.
+distributed decides with ``_fits`` against the ONE budget
+``SMALL_BYTES`` — measured bytes of the materialized input, never a row
+count, so nothing data-proportional lands in one task or on the driver
+as the corpus grows. Keyed tails (grouped aggregates, distinct, grouped
+top-k, the dedup combines) all go through ``_by_key``: one callable that
+groups by the key itself runs either once over everything or once per
+hash shard of the key (``_shard`` + ``map_groups``) — never the engine's
+grouped aggregate, whose cost grows steeply with the group count. Joins
+above the budget use the engine hash join.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 from ray.data import Dataset
-from ray.data.aggregate import Count, Max, Mean, Min, Sum
+from ray.data.aggregate import Max, Min
 
 _log = logging.getLogger(__name__)
 
@@ -68,6 +73,32 @@ def _coalesced(ds: Dataset, fn: Callable, batch_format: str) -> Dataset:
     """The small side's tail: ``fn`` runs once, in one task, over the
     whole input coalesced into a single batch."""
     return ds.repartition(1).map_batches(fn, batch_format=batch_format, batch_size=None)
+
+
+def _by_key(partials: Dataset, keys: Sequence[str], fn: Callable, batch_format: str) -> Dataset:
+    """The one keyed tail: ``fn`` must group by ``keys`` itself, so
+    running it over any key-closed slice of ``partials`` gives that
+    slice's share of the answer. Within ``SMALL_BYTES`` it runs once
+    over everything (``_coalesced``); above it the key columns hash
+    (``shard_of``) into ``data_sized_shards`` shards and the SAME ``fn``
+    runs per shard in ``map_groups``. One callable on both sides, so the
+    transport cannot change schema, dtypes, null keys or ties. The
+    sharded side's empty partitions (zero-column blocks) are dropped."""
+    if _fits(partials, fn.__qualname__):
+        return _coalesced(partials, fn, batch_format)
+    keys = list(keys)
+    n_shards = data_sized_shards(partials.count())
+
+    def add_shard(b):
+        if batch_format == "pandas":
+            return b.assign(_shard=shard_of(b[keys], n_shards))
+        return b.append_column("_shard", pa.array(shard_of(b.select(keys).to_pandas(), n_shards)))
+
+    def per_shard(g):
+        return fn(g.drop(columns=["_shard"]) if batch_format == "pandas" else g.drop_columns(["_shard"]))
+
+    sharded = partials.map_batches(add_shard, batch_format=batch_format)
+    return compact_blocks(sharded.groupby("_shard").map_groups(per_shard, batch_format=batch_format))
 
 
 # ---------------------------------------------------------------------------
@@ -131,95 +162,73 @@ def cents(col: pa.ChunkedArray | pa.Array) -> pa.Array:
 # aggregation
 
 
-_AGG_FACTORY = {
-    "sum": Sum,
-    "min": Min,
-    "max": Max,
-    "mean": Mean,
-    "count": Count,
-}
+def _group_by(t: pa.Table, keys: list[str], spec: list) -> pa.Table:
+    """``t.group_by(keys).aggregate(spec)`` as keys, then aggregates,
+    exact on null keys. pyarrow 16's multi-key grouper splits groups
+    whose key row holds a null next to a string or bool key (188 groups
+    for 181 distinct (string, int64) rows), so with two or more keys
+    each key holding nulls groups as (null flag, nulls filled) and turns
+    back into nulls after."""
+    nullable = [k for k in keys if t[k].null_count] if len(keys) > 1 else []
+    types = {k: t[k].type for k in nullable}
+    flags = [f"{k}\x00null" for k in nullable]
+    for k, flag in zip(nullable, flags):
+        valid = t[k].drop_null()
+        t = t.append_column(flag, pc.cast(pc.is_null(t[k]), pa.int8()))
+        filled = pc.fill_null(t[k], valid[0]) if len(valid) else pa.array(np.zeros(t.num_rows, np.int8))
+        t = t.set_column(t.schema.get_field_index(k), k, filled)
+    g = t.group_by([*keys, *flags]).aggregate(spec)
+
+    def key(k: str):
+        if k not in types:
+            return g[k]
+        if types[k] == t[k].type:
+            return pc.if_else(pc.equal(g[f"{k}\x00null"], 1), pa.scalar(None, types[k]), g[k])
+        return pa.nulls(g.num_rows, types[k])  # the key was null in every row
+
+    vals = [i for i, c in enumerate(g.column_names) if c not in keys and c not in flags]
+    return pa.table(
+        [*(key(k) for k in keys), *(g.column(i) for i in vals)],
+        names=[*keys, *(g.column_names[i] for i in vals)],
+    )
 
 
-def group_aggregate(
-    ds: Dataset,
-    keys: Sequence[str],
-    aggs: dict[str, tuple[str, str | None]],
-) -> Dataset:
-    """``groupby(keys).aggregate(...)`` with named outputs.
-
-    ``aggs`` maps output column name → (op, input column); op in
-    sum|min|max|mean|count (count ignores the input column).
-    """
-    specs = []
-    for out_name, (op, col) in aggs.items():
-        factory = _AGG_FACTORY[op]
-        if op == "count":
-            specs.append(factory(alias_name=out_name))
-        else:
-            specs.append(factory(col, alias_name=out_name))
-    key = list(keys) if len(keys) > 1 else keys[0]
-    return ds.groupby(key).aggregate(*specs)
+_COMBINE_OP = {"sum": "sum", "min": "min", "max": "max", "count": "sum"}
 
 
 def partial_group_aggregate(
     ds: Dataset,
     keys: Sequence[str],
-    sums: dict[str, str] | None = None,
-    count_as: str | None = None,
+    aggs: dict[str, tuple[str, str | None]],
 ) -> Dataset:
-    """Combiner-style grouped sum/count: pre-aggregate each Arrow batch with
-    ``pyarrow.Table.group_by`` (one output row per key per batch), then a
-    BYTE-GATED final combine — the partials materialize (blocks stay in
-    the object store) and their MEASURED size picks the tail: within
-    ``SMALL_BYTES``, one coalesced task re-runs the same Arrow group_by
-    over all partials (the engine's sort-based Aggregate costs multi-second fixed
-    overhead per invocation at 32 CPUs — profiled round 5: 9.3 s wall
-    for 139k partial rows); above it, the engine's distributed
-    ``groupby().aggregate(Sum)`` shuffle runs. Same gate philosophy as
-    ``auto_join``: bytes, never row counts, and nothing ever lands on
-    the driver either way.
+    """Grouped aggregate with named outputs: ``aggs`` maps output column
+    → (op, input column), op in sum|min|max|count (count counts ROWS,
+    SQL ``count(*)``, and ignores the input column). Output columns are
+    the keys, then ``aggs`` in order.
 
-    At 100 TB this is the difference between shuffling every row and
-    shuffling ~num_blocks × num_keys rows (and the gate routes that
-    shuffle to the engine when the key space itself is big).
-    """
-    sums = dict(sums or {})
+    Combiner-style: each Arrow batch pre-aggregates with
+    ``pyarrow.Table.group_by`` (one output row per key per batch), then
+    ``_by_key`` runs one Arrow combine over the partials — sums and
+    counts add, mins and maxes fold. Only ~num_blocks × num_keys rows
+    ever reach the combine, and both transports run the same combine,
+    so schema, dtypes (timestamps keep their unit) and null keys never
+    depend on the gate."""
     keys = list(keys)
+    outs = list(aggs)
 
-    def _arrow_combine(t: pa.Table, spec: list[tuple[str, str]], rename: dict) -> pa.Table:
-        g = t.group_by(keys).aggregate(spec)
-        return g.rename_columns([rename.get(c, c) for c in g.column_names])
+    def grouped(t: pa.Table, spec: list) -> pa.Table:
+        return _group_by(t, keys, spec).rename_columns([*keys, *outs])
 
     def partial(t: pa.Table) -> pa.Table:
-        cols = {out: t[src] for out, src in sums.items()}
-        work = pa.table({**{k: t[k] for k in keys}, **cols})
-        agg_spec = [(out, "sum") for out in sums]
-        if count_as:
-            agg_spec.append((keys[0], "count"))
-        rename = {f"{out}_sum": out for out in sums}
-        if count_as:
-            rename[f"{keys[0]}_count"] = count_as
-        return _arrow_combine(work, agg_spec, rename)
+        return grouped(
+            t, [([], "count_all") if op == "count" else (col, op) for op, col in aggs.values()]
+        )
 
-    partial_ds = ds.map_batches(partial, batch_format="pyarrow").materialize()
-    out_cols = [*keys, *sums] + ([count_as] if count_as else [])
-    if _fits(partial_ds, "partial_group_aggregate"):
-        combine_spec = [(out, "sum") for out in sums]
-        if count_as:
-            combine_spec.append((count_as, "sum"))
-        rename = {f"{out}_sum": out for out in sums}
-        if count_as:
-            rename[f"{count_as}_sum"] = count_as
+    def combine(t: pa.Table) -> pa.Table:
+        return grouped(t, [(out, _COMBINE_OP[op]) for out, (op, _) in aggs.items()])
 
-        def combine(t: pa.Table) -> pa.Table:
-            # column order matches the engine path (keys first)
-            return _arrow_combine(t, combine_spec, rename).select(out_cols)
-
-        return _coalesced(partial_ds, combine, "pyarrow")
-    final_aggs = {out: ("sum", out) for out in sums}
-    if count_as:
-        final_aggs[count_as] = ("sum", count_as)
-    return group_aggregate(partial_ds, keys, final_aggs)
+    partials = ds.map_batches(partial, batch_format="pyarrow").materialize()
+    return _by_key(partials, keys, combine, "pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -263,23 +272,15 @@ def topk(
 
 
 def distinct(ds: Dataset, cols: Sequence[str]) -> Dataset:
-    """Distinct tuples: per-block Arrow dedup, then a BYTE-GATED global
-    dedup — the per-block partials materialize and their MEASURED size
-    picks the tail: one coalesced task re-running the same Arrow
-    group_by within ``SMALL_BYTES`` (the engine's grouped shuffle carries
-    multi-second fixed cost per invocation), the NATIVE grouped count
-    (count column dropped — no per-group Python UDF) above it."""
+    """Distinct tuples: per-block Arrow dedup, then the same Arrow
+    dedup as the keyed tail (``_by_key``) over the partials."""
     cols = list(cols)
 
     def local(t: pa.Table) -> pa.Table:
-        return t.select(cols).group_by(cols).aggregate([])
+        return _group_by(t.select(cols), cols, [])
 
     deduped = ds.map_batches(local, batch_format="pyarrow").materialize()
-    if _fits(deduped, "distinct"):
-        return _coalesced(deduped, local, "pyarrow")
-    key = cols if len(cols) > 1 else cols[0]
-    out = deduped.groupby(key).count()
-    return out.drop_columns(["count()"])
+    return _by_key(deduped, cols, local, "pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +441,11 @@ def grouped_topk(
 ) -> Dataset:
     """Top-k WITHIN each group: per-block per-group prune first (the
     global winners of any group are a subset of every block's own
-    per-group top-k), then a BYTE-GATED grouped head over ≤ k ×
-    num_blocks rows per group — one coalesced task re-running the SAME
-    sort+grouped-head within ``SMALL_BYTES``, the engine's grouped shuffle
-    above it. Without the prune a low-cardinality group column (e.g. 5
-    market segments) funnels the ENTIRE fact table into 5 pandas groups
-    — the prune bounds each group by blocks, not rows."""
+    per-group top-k), then the SAME sort+grouped-head as the keyed tail
+    (``_by_key``) over ≤ k × num_blocks rows per group. Without the
+    prune a low-cardinality group column (e.g. 5 market segments)
+    funnels the ENTIRE fact table into 5 pandas groups — the prune
+    bounds each group by blocks, not rows."""
     group_cols = list(group_cols)
     by = list(by)
     ascending = [not d for d in descending]
@@ -454,22 +454,13 @@ def grouped_topk(
     def local(df: pd.DataFrame) -> pd.DataFrame:
         pruned = (
             df.sort_values(by, ascending=ascending, kind="mergesort")
-            .groupby(group_cols, sort=False)
+            .groupby(group_cols, sort=False, dropna=False)
             .head(k)
         )
         return pruned[out_cols] if out_cols else pruned
 
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.sort_values(by, ascending=ascending, kind="mergesort").head(k)
-        return out[out_cols] if out_cols else out
-
     pruned = ds.map_batches(local, batch_format="pandas").materialize()
-    if _fits(pruned, "grouped_topk"):
-        # `local` IS the whole-frame grouped head — same sort, same
-        # stable tie-break, applied once globally
-        return _coalesced(pruned, local, "pandas")
-    key = group_cols if len(group_cols) > 1 else group_cols[0]
-    return pruned.groupby(key).map_groups(final, batch_format="pandas")
+    return _by_key(pruned, group_cols, local, "pandas")
 
 
 def broadcast_semi_join(ds: Dataset, keys: Iterable, on: str, anti: bool = False) -> Dataset:
@@ -544,15 +535,22 @@ def hash_join(
     )
 
 
-def shard_of(s: pd.Series, n_shards: int) -> pd.Series:
-    """Deterministic coarse shard id for grouped-UDF batching.
+def shard_of(s: pd.Series | pd.DataFrame, n_shards: int) -> pd.Series:
+    """Deterministic coarse shard id for grouped-UDF batching; a frame
+    hashes its rows (multi-column keys).
 
     Numeric keys normalize to float64 first: pd.util.hash_pandas_object
     is DTYPE-sensitive (int64 5 and float64 5.0 hash differently), so
-    two datasets carrying the same key at different widths would
-    otherwise route equal values to different shards."""
-    if pd.api.types.is_numeric_dtype(s) and not pd.api.types.is_float_dtype(s):
-        s = s.astype("float64")
+    two datasets carrying the same key at different widths — or one
+    dataset whose batches with nulls convert an int key to float64 —
+    would otherwise route equal values to different shards."""
+
+    def norm(c: pd.Series) -> pd.Series:
+        if pd.api.types.is_numeric_dtype(c) and not pd.api.types.is_float_dtype(c):
+            return c.astype("float64")
+        return c
+
+    s = s.apply(norm) if isinstance(s, pd.DataFrame) else norm(s)
     return (pd.util.hash_pandas_object(s, index=False) % n_shards).astype("int64")
 
 
@@ -1251,9 +1249,10 @@ def grouped_rank_topk(
     1. candidate reduction — per block, the k highest DISTINCT values
        per group with their row counts (any global top-k distinct value
        is a local top-k distinct value in every block it appears in);
-       one grouped pass over that combiner stream computes each group's
-       exact top-k distinct values, their global counts, and therefore
-       their RANKS (rank of value v = 1 + rows strictly above v);
+       the keyed tail (``_by_key``) over that combiner stream computes
+       each group's exact top-k distinct values, their global counts,
+       and therefore their RANKS (rank of value v = 1 + rows strictly
+       above v);
     2. the (group, value, rank) mapping — k rows per group — joins back
        onto the stream: broadcast merge within ``SMALL_BYTES``, the
        engine's multi-key hash join above it. Rows whose value misses
@@ -1279,23 +1278,25 @@ def grouped_rank_topk(
         g[rank_col] = (above + 1).astype("int64")
         return g[g[rank_col] <= k][[group, value_col, rank_col]]
 
-    cands = ds.map_batches(local_candidates, batch_format="pandas")
-    # compact: map_groups emits schema-less empty blocks (partitions >
-    # groups) that crash the engine join's Acero key resolution
-    mapping = compact_blocks(
-        cands.groupby(group).map_groups(to_ranks, batch_format="pandas")
-    )
+    cands = ds.map_batches(local_candidates, batch_format="pandas").materialize()
+    mapping = _by_key(cands, [group], to_ranks, "pandas").materialize()
 
+    # pandas turns an int column with nulls into float64 in the batches
+    # that hold one: both joins give the keys back the stream's types
     on = [group, value_col]
+    s = ds.schema()  # None for an empty stream: nothing to restore
+    types = {c: _as_arrow_type(t) for c, t in zip(s.names, s.types) if c in on} if s else {}
     if _fits(mapping, "grouped_rank_topk"):
-        return broadcast_join(ds, to_pandas_schema_safe(mapping), on, on)
-    return hash_join(ds, mapping, on=on, num_partitions=num_partitions)
+        joined = broadcast_join(ds, to_pandas_schema_safe(mapping), on, on)
+    else:
+        joined = hash_join(ds, cast_columns(mapping, types), on=on, num_partitions=num_partitions)
+    return cast_columns(joined, types)
 
 
 def cast_columns(ds: Dataset, types: dict[str, pa.DataType]) -> Dataset:
-    """Final-stage dtype normalization (e.g. Ray's aggregate shuffle can
-    downgrade timestamp[us] to timestamp[s]; the driver's value-hash is
-    dtype-strict)."""
+    """Dtype normalization across blocks (e.g. a pandas batch turns an
+    int column with nulls into float64; the driver's value-hash and the
+    engine join are dtype-strict)."""
 
     def fn(t: pa.Table) -> pa.Table:
         for col, typ in types.items():

@@ -2,9 +2,9 @@
 
 Five dedup families, each Ray-Data-first:
 
-- exact        — content-key groupby, keep min(doc_id). The shuffle
-                 moves one (key, doc_id) pair per row; the text never
-                 moves (hash-partition + per-group first).
+- exact        — grouped (min doc_id, count) by content key through
+                 ``relops.partial_group_aggregate``: one row per
+                 distinct key per block reaches the combine.
 - MinHash+LSH  — char-shingle → 64-perm minhash signature per doc
                  (numpy, vectorized over permutations) → banded LSH
                  explode → ``groupby(band_id, band_hash)`` → candidate
@@ -27,7 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ray.data import Dataset
-from ray.data.aggregate import Min
+from ray.data.aggregate import Sum
 
 from ..pipelines import relops as R
 
@@ -42,79 +42,32 @@ def exact_dedup(
 ) -> Dataset:
     """One row per distinct ``key``: (doc_id = min id, dup_count).
 
-    Combiner-style: each block pre-aggregates to one (key, min id,
-    row count) row per distinct key — duplicate texts collapse BEFORE
-    the shuffle, so the text-keyed exchange moves ≤ blocks × distinct
-    keys rows, never the corpus. The final combine is BYTE-GATED on the
-    MEASURED partial size (one coalesced Arrow group_by task within
-    ``relops.SMALL_BYTES``, the engine's grouped shuffle above it — the
-    ``partial_group_aggregate`` pattern, min-of-mins / sum-of-counts).
-    ``dup_count`` counts ROWS, null ids included; the min id skips
-    nulls on both tails."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by([key]).aggregate([(id_col, "min"), ([], "count_all")])
-        return g.rename_columns(
-            [
-                {f"{id_col}_min": id_col, "count_all": "dup_count"}.get(c, c)
-                for c in g.column_names
-            ]
-        )
-
-    partials = ds.map_batches(partial, batch_format="pyarrow").materialize()
-
-    def combine(t: pa.Table) -> pa.Table:
-        g = t.group_by([key]).aggregate([(id_col, "min"), ("dup_count", "sum")])
-        g = g.rename_columns(
-            [
-                {f"{id_col}_min": id_col, "dup_count_sum": "dup_count"}.get(c, c)
-                for c in g.column_names
-            ]
-        )
-        return g.select([id_col, "dup_count"])
-
-    if R._fits(partials, "exact_dedup"):
-        return R._coalesced(partials, combine, "pyarrow")
-    from ray.data.aggregate import Sum as _Sum
-
-    return (
-        partials.groupby(key)
-        .aggregate(Min(id_col, alias_name=id_col), _Sum("dup_count", alias_name="dup_count"))
-        .drop_columns([key])
-    )
+    ``relops.partial_group_aggregate``: each block pre-aggregates to one
+    (key, min id, row count) row per distinct key — duplicate texts
+    collapse BEFORE any exchange, so the keyed tail sees ≤ blocks ×
+    distinct keys rows, never the corpus. ``dup_count`` counts ROWS,
+    null ids included; the min id skips nulls."""
+    aggs = {id_col: ("min", id_col), "dup_count": ("count", None)}
+    return R.partial_group_aggregate(ds, [key], aggs).drop_columns([key])
 
 
 def exact_dedup_keep_first(
     ds: Dataset,
     key: str = "text",
     id_col: str = "doc_id",
-    n_shards: int = 256,
 ) -> Dataset:
     """Keep the full first row (min ``id_col``) per distinct key.
 
     Per-block pre-dedup (at most one row per key per block survives),
-    then a BYTE-GATED tail over the survivors: one coalesced
-    drop_duplicates task within ``relops.SMALL_BYTES``, ONE key-shard
-    shuffle with a vectorized drop_duplicates per shard above it — no
-    giant per-key group and no Python call per key on either path."""
+    then the same vectorized drop_duplicates as the keyed tail
+    (``relops._by_key``) over the survivors — no giant per-key group and
+    no Python call per key on either side of the gate."""
 
-    def local_first(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(id_col, kind="mergesort").drop_duplicates(key)
-        return g.assign(_shard=R.shard_of(g[key], n_shards))
+    def first(g: pd.DataFrame) -> pd.DataFrame:
+        return g.sort_values(id_col, kind="mergesort").drop_duplicates(key)
 
-    def first_in_shard(g: pd.DataFrame) -> pd.DataFrame:
-        return (
-            g.sort_values(id_col, kind="mergesort")
-            .drop_duplicates(key)
-            .drop(columns=["_shard"])
-        )
-
-    pre = ds.map_batches(local_first, batch_format="pandas").materialize()
-    if R._fits(pre, "exact_dedup_keep_first"):
-        # first_in_shard dedups by key globally — one coalesced task is
-        # identical to the sharded union of per-shard dedups
-        return R._coalesced(pre, first_in_shard, "pandas")
-    return pre.groupby("_shard").map_groups(first_in_shard, batch_format="pandas")
+    pre = ds.map_batches(first, batch_format="pandas").materialize()
+    return R._by_key(pre, [key], first, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -415,38 +368,6 @@ def _rename(ds: Dataset, mapping: dict[str, str], keep: list[str]) -> Dataset:
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def distinct_pairs(pairs: Dataset, n_shards: int = 256) -> Dataset:
-    """Distinct (left_id, right_id): per-block Arrow dedup (C++), then ONE
-    single-int-key shard shuffle with a vectorized pandas drop_duplicates
-    per shard. (Ray's native multi-key grouped aggregate measured ~30 s
-    on an 822k-pair stream — super-linear; this path is linear.)
-
-    Partitioning assumption: 256 shards keep groups one-worker-sized up
-    to ~10^8 pairs (16-byte rows). `pairs` is usually mid-lineage (a
-    count would re-execute the candidate stages), so callers who KNOW
-    the stream is bigger pass ``n_shards=data_sized_shards(count)``."""
-
-    def local(t: pa.Table) -> pa.Table:
-        t = t.select(["left_id", "right_id"]).group_by(
-            ["left_id", "right_id"]
-        ).aggregate([])
-        df = t.to_pandas()
-        shard = (
-            R.shard_of(df["left_id"], n_shards)
-            * 31 + R.shard_of(df["right_id"], n_shards)
-        ) % n_shards
-        return pa.Table.from_pandas(
-            df.assign(_shard=shard.astype("int32")), preserve_index=False
-        )
-
-    sharded = pairs.map_batches(local, batch_format="pyarrow")
-
-    def dedup_shard(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["left_id", "right_id"]).drop(columns=["_shard"])
-
-    return sharded.groupby("_shard").map_groups(dedup_shard, batch_format="pandas")
-
-
 class ShingleStage:
     """(id, text) → (id, shingles as packed uint64-LE bytes): shingle once
     per doc so the verify join never re-shingles per pair. Bytes, not a
@@ -732,16 +653,14 @@ def cluster_propagate(
     only decrease, so the label SUM strictly decreases until fixpoint —
     convergence needs no extra compare join. LSH-derived near-dup
     clusters are near-cliques, so this typically converges in 2-3
-    rounds (≤ log diameter in general).
+    rounds (≤ log diameter in general). Each grouped Min is
+    ``relops.partial_group_aggregate``.
     """
-    from ray.data.aggregate import Sum
-
-    # dedup edges, then drop the schema-less empty blocks shuffle ops
-    # emit (they break the joins below); materialized because the edge
-    # set is consumed every iteration
+    # dedup edges; materialized because the edge set is consumed every
+    # iteration
     import ray.data as rd
 
-    pairs = distinct_pairs(pairs).materialize()
+    pairs = R.distinct(pairs, ["left_id", "right_id"]).materialize()
     n_pairs = pairs.count()
     if n_pairs == 0:
         return rd.from_arrow(
@@ -756,47 +675,32 @@ def cluster_propagate(
         out = connected_components(pd.DataFrame(cols))
         return rd.from_pandas(out)
 
-    pairs = R.compact_blocks(pairs)
     swapped = _rename(pairs, {"left_id": "dst", "right_id": "src"}, ["left_id", "right_id"])
     fwd = _rename(pairs, {"left_id": "src", "right_id": "dst"}, ["left_id", "right_id"])
-    edges = R.compact_blocks(fwd.union(swapped))
+    edges = fwd.union(swapped).materialize()
     n_edges = edges.count()
 
     # round 0 is join-free: label(v) = min(v, min direct neighbor) via
-    # ONE native grouped Min over the symmetric edges — clique-shaped
-    # clusters (the LSH near-dup norm) are already final after this, so
-    # the join loop usually runs once just to confirm convergence.
-    # Column order everywhere is the sorted [label, node] so unions stay
-    # uniform.
-    labels = (
-        edges.groupby("src")
-        .aggregate(Min("dst", alias_name="label"))
-        .map_batches(
-            lambda t: pa.table(
-                {
-                    "label": pc.min_element_wise(t["label"], t["src"]),
-                    "node": t["src"],
-                }
-            ),
-            batch_format="pyarrow",
-        )
-    )
-    labels = R.compact_blocks(labels)
+    # ONE grouped Min over the symmetric edges — clique-shaped clusters
+    # (the LSH near-dup norm) are already final after this, so the join
+    # loop usually runs once just to confirm convergence. Column order
+    # everywhere is the sorted [label, node] so unions stay uniform.
+    labels = R.partial_group_aggregate(edges, ["src"], {"label": ("min", "dst")}).map_batches(
+        lambda t: pa.table({"label": pc.min_element_wise(t["label"], t["src"]), "node": t["src"]}),
+        batch_format="pyarrow",
+    ).materialize()
 
     nparts = R.join_partitions(rows=n_edges)
-    from ray.data.aggregate import Sum as _Sum
-
-    prev_sum = labels.aggregate(_Sum("label", alias_name="s"))["s"]
+    prev_sum = labels.aggregate(Sum("label", alias_name="s"))["s"]
     for _ in range(max_iters):
         offers = edges.join(
             labels, join_type="inner", num_partitions=nparts, on=("src",), right_on=("node",)
         )
         offers = _rename(offers, {"dst": "node"}, ["dst", "label"])
-        merged = offers.union(labels)
-        new_labels = R.compact_blocks(
-            merged.groupby("node")
-            .aggregate(Min("label", alias_name="label"))
+        new_labels = (
+            R.partial_group_aggregate(offers.union(labels), ["node"], {"label": ("min", "label")})
             .select_columns(["label", "node"])
+            .materialize()
         )
         s = new_labels.aggregate(Sum("label", alias_name="s"))["s"]
         labels = new_labels
@@ -1134,12 +1038,10 @@ def minhash_dedup(
     Scale posture: every stage is distributed — LSH banding prunes to
     candidate pairs (no all-pairs), shingle sets join onto pairs by
     hash partition (text never broadcast, never driver-collected), and
-    connected components run as min-label propagation groupbys (no
-    driver union-find). The only driver-side data is per-iteration
-    label checksums.
+    connected components run as min-label propagation over keyed Arrow
+    combines (no driver union-find). The only driver-side data is
+    per-iteration label checksums.
     """
-    from ray.data.aggregate import Min as _Min
-
     docs = ds.select_columns([id_col, text_col])
     mapping = _adaptive_mapping(docs, id_col, text_col, collapse_exact)
     if mapping is not None:
@@ -1149,8 +1051,9 @@ def minhash_dedup(
     sigs = docs.map_batches(
         SignatureStage(id_col, text_col, k), batch_format="pyarrow"
     ).materialize()
-    cands = distinct_pairs(
-        minhash_candidates(docs, sigs=sigs, id_col=id_col, text_col=text_col, k=k)
+    cands = R.distinct(
+        minhash_candidates(docs, sigs=sigs, id_col=id_col, text_col=text_col, k=k),
+        ["left_id", "right_id"],
     )
     verified = verify_pairs_distributed(
         cands,
@@ -1221,12 +1124,9 @@ def minhash_dedup(
                 }
             )
         )
-    both = R.compact_blocks(parts[0] if len(parts) == 1 else parts[0].union(parts[1]))
-    return (
-        both.groupby(id_col)
-        .aggregate(_Min("cluster_id", alias_name="cluster_id"))
-        .select_columns([id_col, "cluster_id"])
-    )
+
+    both = parts[0] if len(parts) == 1 else parts[0].union(parts[1])
+    return R.partial_group_aggregate(both, [id_col], {"cluster_id": ("min", "cluster_id")})
 
 
 # ---------------------------------------------------------------------------
@@ -1313,16 +1213,7 @@ def _ngram_pairs_core(
         n_shards = R.data_sized_shards(grams.count(), min_shards=32)
 
     # per-doc distinct-gram sizes (combiner: one row per doc per block)
-    sizes = R.partial_group_aggregate(
-        grams.map_batches(
-            lambda t: pa.table(
-                {id_col: t[id_col], "n_grams": pa.array(np.ones(t.num_rows, np.int64))}
-            ),
-            batch_format="pyarrow",
-        ),
-        [id_col],
-        sums={"n_grams": "n_grams"},
-    )
+    sizes = R.partial_group_aggregate(grams, [id_col], {"n_grams": ("count", None)})
 
     def shard_grams(t: pa.Table) -> pa.Table:
         g = t["g"].to_numpy(zero_copy_only=False)

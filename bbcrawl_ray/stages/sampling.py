@@ -7,9 +7,9 @@ random sampling over streaming data; mergeable sketches).
                            hash is engine-independent (DuckDB md5 ==
                            hashlib.md5), so the SQL oracle reproduces
                            the EXACT sample. Pre-prune per batch (local
-                           top-n per stratum) before the grouped top-n,
-                           so the shuffle moves ≤ n × strata × blocks
-                           rows, never the table.
+                           top-n per stratum), then the same top-n as
+                           the keyed tail (``relops._by_key``) over
+                           ≤ n × strata × blocks rows, never the table.
 - ``HllSketch`` / ``approx_distinct`` — classic HyperLogLog, one sketch
   per batch emitted from ``map_batches``, merged in a tiny driver-side
   reduce (sketches are mergeable by design — SURVEY.md §2.7
@@ -27,6 +27,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ray.data import Dataset
+
+from ..pipelines import relops as R
 
 # ---------------------------------------------------------------------------
 # sampling
@@ -59,32 +61,32 @@ def stratified_sample(
     key) <= n``).
     """
 
-    def add_rank(t: pa.Table) -> pa.Table:
-        parts = [pc.cast(t[c], pa.string()) for c in key_cols]
-        joined = parts[0]
-        for p in parts[1:]:
-            joined = pc.binary_join_element_wise(joined, p, "-")
-        ranks = _md5_rank(joined.to_pylist())
-        t = t.append_column("sample_rank", pa.array(ranks, pa.string()))
-        # local prune: keep at most n per stratum per batch
-        df_idx = pc.sort_indices(
-            t, sort_keys=[(strata_col, "ascending"), ("sample_rank", "ascending")]
+    def keep_n(t: pa.Table) -> pa.Table:
+        # at most n per stratum, smallest rank first: run per batch as
+        # the local prune, and again as the keyed tail over the partials
+        t = t.take(
+            pc.sort_indices(
+                t, sort_keys=[(strata_col, "ascending"), ("sample_rank", "ascending")]
+            )
         )
-        t = t.take(df_idx)
         keep_mask = []
         count: dict = {}
         for s in t[strata_col].to_pylist():
             c = count.get(s, 0)
             keep_mask.append(c < n_per_stratum)
             count[s] = c + 1
-        return t.filter(pa.array(keep_mask))
+        return t.filter(pa.array(keep_mask, pa.bool_()))
 
-    pruned = ds.map_batches(add_rank, batch_format="pyarrow")
+    def add_rank(t: pa.Table) -> pa.Table:
+        parts = [pc.cast(t[c], pa.string()) for c in key_cols]
+        joined = parts[0]
+        for p in parts[1:]:
+            joined = pc.binary_join_element_wise(joined, p, "-")
+        ranks = _md5_rank(joined.to_pylist())
+        return keep_n(t.append_column("sample_rank", pa.array(ranks, pa.string())))
 
-    def top_n(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(["sample_rank"], kind="mergesort").head(n_per_stratum)
-
-    return pruned.groupby(strata_col).map_groups(top_n, batch_format="pandas")
+    pruned = ds.map_batches(add_rank, batch_format="pyarrow").materialize()
+    return R._by_key(pruned, [strata_col], keep_n, "pyarrow")
 
 
 # ---------------------------------------------------------------------------

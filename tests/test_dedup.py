@@ -451,14 +451,11 @@ def test_verify_join_path_matches_broadcast_path(ray_session):
     produce identical verified pairs."""
     import pandas as pd
 
-    from bbcrawl_ray.stages.dedup import (
-        distinct_pairs,
-        minhash_candidates,
-        verify_pairs_distributed,
-    )
+    from bbcrawl_ray.pipelines.relops import distinct
+    from bbcrawl_ray.stages.dedup import minhash_candidates, verify_pairs_distributed
 
     ds = docs_ds()
-    cands = distinct_pairs(minhash_candidates(ds))
+    cands = distinct(minhash_candidates(ds), ["left_id", "right_id"])
     a = (
         verify_pairs_distributed(cands, ds, threshold=0.6, broadcast_gates=True)
         .to_pandas()

@@ -237,7 +237,7 @@ def test_auto_join_left_outer_paths_agree(ray_session, sf_dir, monkeypatch):
     cust = R.read_table(sf_dir, "customer", columns=["c_custkey"])
     orders = R.read_table(sf_dir, "orders", columns=["o_custkey"])
     counts = R.partial_group_aggregate(
-        orders, ["o_custkey"], sums={}, count_as="order_count"
+        orders, ["o_custkey"], {"order_count": ("count", None)}
     )
 
     def norm(ds):
@@ -306,140 +306,134 @@ def test_auto_join_left_outer_paths_agree(ray_session, sf_dir, monkeypatch):
         R.auto_join(cust, counts, left_on="c_custkey", right_on="o_custkey", how="full_outer")
 
 
-def test_partial_group_aggregate_combine_paths_agree(ray_session, sf_dir, monkeypatch):
-    """partial_group_aggregate's byte-gated tails (one-task Arrow combine
-    vs the engine's distributed groupby) produce identical results —
-    the gate only picks the combine transport, never semantics."""
+def test_topk_paths_agree(ray_session, sf_dir, monkeypatch):
+    """topk's byte-gated tails: the single-task sort-take and the engine
+    sort-limit keep the same rows under a total order."""
     import pandas as pd
 
     from bbcrawl_ray.pipelines import relops as R
-
-    li = R.read_table(sf_dir, "lineitem", columns=["l_returnflag", "l_quantity"])
-
-    def prep(t):
-        import pyarrow as pa
-
-        return pa.table(
-            {"l_returnflag": t["l_returnflag"], "qty_cents": R.cents(t["l_quantity"])}
-        )
-
-    src = li.map_batches(prep, batch_format="pyarrow")
-
-    def norm(ds):
-        df = ds.to_pandas()
-        return df.sort_values("l_returnflag", kind="mergesort").reset_index(drop=True)
-
-    small = norm(
-        R.partial_group_aggregate(
-            src, ["l_returnflag"], sums={"qty": "qty_cents"}, count_as="n"
-        )
-    )
-    monkeypatch.setattr(R, "SMALL_BYTES", 0)
-    engine = norm(
-        R.partial_group_aggregate(
-            src, ["l_returnflag"], sums={"qty": "qty_cents"}, count_as="n"
-        )
-    )
-    assert list(small.columns) == list(engine.columns) == ["l_returnflag", "qty", "n"]
-    assert len(small) > 0
-    pd.testing.assert_frame_equal(small, engine)
-
-
-def test_distinct_topk_grouped_topk_paths_agree(ray_session, sf_dir, monkeypatch):
-    """distinct / topk / grouped_topk byte-gated tails: the single-task
-    small path and the engine shuffle path produce identical results."""
-    import pandas as pd
-
-    from bbcrawl_ray.pipelines import relops as R
-
-    li = R.read_table(sf_dir, "lineitem", columns=["l_returnflag", "l_linestatus"])
-
-    def norm(ds, cols):
-        df = ds.to_pandas()[cols]
-        return df.sort_values(cols, kind="mergesort").reset_index(drop=True)
-
-    def forced(run):
-        with monkeypatch.context() as m:
-            m.setattr(R, "SMALL_BYTES", 0)
-            return run()
-
-    cols = ["l_returnflag", "l_linestatus"]
-    pd.testing.assert_frame_equal(
-        norm(R.distinct(li, cols), cols),
-        forced(lambda: norm(R.distinct(li, cols), cols)),
-    )
 
     orders = R.read_table(
         sf_dir, "orders", columns=["o_orderkey", "o_custkey", "o_totalprice"]
     )
-    tcols = ["o_orderkey", "o_custkey", "o_totalprice"]
-    pd.testing.assert_frame_equal(
-        norm(R.topk(orders, ["o_totalprice", "o_orderkey"], [True, False], 10), tcols),
-        forced(
-            lambda: norm(
-                R.topk(orders, ["o_totalprice", "o_orderkey"], [True, False], 10), tcols
-            )
-        ),
-    )
 
-    cust = R.read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment", "c_acctbal"])
-    gcols = ["c_mktsegment", "c_acctbal", "c_custkey"]
-    kw = dict(
-        group_cols=["c_mktsegment"], by=["c_acctbal", "c_custkey"],
-        descending=[True, False], k=3, out_cols=gcols,
-    )
-    pd.testing.assert_frame_equal(
-        norm(R.grouped_topk(cust, **kw), gcols),
-        forced(lambda: norm(R.grouped_topk(cust, **kw), gcols)),
-    )
+    def run():
+        out = R.topk(orders, ["o_totalprice", "o_orderkey"], [True, False], 10).to_pandas()
+        return out.sort_values("o_orderkey").reset_index(drop=True)
 
-
-def test_exact_dedup_paths_agree(ray_session, sf_dir, monkeypatch):
-    """exact_dedup / exact_dedup_keep_first byte-gated tails: single-task
-    combine vs engine shuffle produce identical results."""
-    import pandas as pd
-
-    from bbcrawl_ray.pipelines import relops as R
-    from bbcrawl_ray.stages.dedup import exact_dedup, exact_dedup_keep_first
-
-    docs = R.read_table(sf_dir, "documents", columns=["doc_id", "text"])
-
-    def norm(ds, cols):
-        df = ds.to_pandas()[cols]
-        return df.sort_values(cols, kind="mergesort").reset_index(drop=True)
-
-    cols = ["doc_id", "dup_count"]
-    kcols = ["doc_id", "text"]
-    small = norm(exact_dedup(docs), cols)
-    small_first = norm(exact_dedup_keep_first(docs), kcols)
+    small = run()
     monkeypatch.setattr(R, "SMALL_BYTES", 0)
-    pd.testing.assert_frame_equal(
-        small,
-        norm(exact_dedup(docs), cols),
-        check_dtype=False,
-    )
-    pd.testing.assert_frame_equal(
-        small_first,
-        norm(exact_dedup_keep_first(docs), kcols),
-    )
+    assert len(small) == 10
+    pd.testing.assert_frame_equal(small, run())
 
 
-def test_partial_group_aggregate_empty_paths_agree(ray_session, monkeypatch):
-    """Empty input behaves identically on both combine transports (0 rows
-    both ways; Ray 2.49 drops columns on zero-row to_pandas regardless —
-    that engine quirk is handled by to_pandas_schema_safe at call sites)."""
+def _keyed_input(n):
+    """n rows in 4 blocks: a string key and an int value, both with
+    nulls, a timestamp[us] and a unique id."""
+    import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
+    v = np.random.default_rng(7).integers(0, 50, n)
+    return rd.from_arrow(
+        pa.table(
+            {
+                "id": pa.array(range(n), pa.int64()),
+                "k": pa.array([None if i % 11 == 0 else f"k{i % 7}" for i in range(n)], pa.string()),
+                "v": pa.array([None if i % 13 == 0 else int(x) for i, x in enumerate(v)], pa.int64()),
+                "ts": pa.array(np.datetime64("2024-01-01", "us") + v * 3_600_001, pa.timestamp("us")),
+            }
+        )
+    ).repartition(4)
+
+
+def _keyed_op(op):
+    """(output columns, run) for one op whose tail is ``relops._by_key``."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from bbcrawl_ray.pipelines import relops as R
+    from bbcrawl_ray.stages import dedup as D
+    from bbcrawl_ray.stages.sampling import stratified_sample
+
+    def arrow(ds, fn):
+        return ds.map_batches(fn, batch_format="pyarrow")
+
+    def chains(t):  # edges i -> i+1 inside runs of 8 ids
+        t = t.filter(pc.not_equal(pc.bit_wise_and(t["id"], 7), 7))
+        return pa.table({"left_id": t["id"], "right_id": pc.add(t["id"], 1)})
+
+    def texts(t):  # one text per key: the exact collapse engages
+        text = pc.binary_join_element_wise("words about the topic of ", pc.fill_null(t["k"], "-"), "")
+        return pa.table({"doc_id": t["id"], "text": text})
+
+    aggs = {"s": ("sum", "v"), "lo": ("min", "ts"), "hi": ("max", "ts"), "n": ("count", None)}
+    ikv = ["id", "k", "v"]
+    return {
+        "partial_group_aggregate": (
+            ["k", *aggs], lambda ds: R.partial_group_aggregate(ds, ["k"], aggs)
+        ),
+        "distinct": (["k", "v"], lambda ds: R.distinct(ds, ["k", "v"])),
+        "grouped_topk": (
+            ["k", "v", "id"],
+            lambda ds: R.grouped_topk(ds, ["k"], ["v", "id"], [True, False], 2, ["k", "v", "id"]),
+        ),
+        "grouped_rank_topk": (
+            [*ikv, "rank"], lambda ds: R.grouped_rank_topk(ds.select_columns(ikv), "k", "v", 2)
+        ),
+        "exact_dedup": (["id", "dup_count"], lambda ds: D.exact_dedup(ds, "k", "id")),
+        "exact_dedup_keep_first": (
+            ikv, lambda ds: D.exact_dedup_keep_first(ds.select_columns(ikv), "k", "id")
+        ),
+        "stratified_sample": (
+            ["id", "k", "sample_rank"],
+            lambda ds: stratified_sample(ds.select_columns(["id", "k"]), "k", ["id"], 3),
+        ),
+        "cluster_propagate": (
+            ["doc_id", "cluster_id"],
+            lambda ds: D.cluster_propagate(arrow(ds, chains), driver_gate=None),
+        ),
+        "minhash_dedup": (
+            ["doc_id", "cluster_id"],
+            lambda ds: D.minhash_dedup(arrow(ds, texts), threshold=0.5, cc_driver_gate=None),
+        ),
+    }[op]
+
+
+_KEYED_OPS = [
+    "partial_group_aggregate", "distinct", "grouped_topk", "grouped_rank_topk", "exact_dedup",
+    "exact_dedup_keep_first", "stratified_sample", "cluster_propagate", "minhash_dedup",
+]
+
+
+@pytest.mark.parametrize("n", [240, 0], ids=["nulls", "empty"])
+@pytest.mark.parametrize("op", _KEYED_OPS)
+def test_keyed_tail_paths_agree(ray_session, monkeypatch, op, n):
+    """Every op whose tail is ``relops._by_key`` gives the same frame —
+    columns, their order, dtypes, null-key groups — whether the tail
+    runs as one coalesced task or per key shard. An empty input
+    measures 0 bytes, so it takes the coalesced side under any budget;
+    both budgets must still agree on it."""
+    import pandas as pd
+
     from bbcrawl_ray.pipelines import relops as R
 
-    empty = rd.from_arrow(
-        pa.table({"k": pa.array([], pa.string()), "v": pa.array([], pa.int64())})
-    )
-    for gate in (64 << 20, 0):
-        monkeypatch.setattr(R, "SMALL_BYTES", gate)
-        out = R.partial_group_aggregate(empty, ["k"], sums={"s": "v"}, count_as="n")
-        assert out.count() == 0
+    cols, run = _keyed_op(op)
+    ds = _keyed_input(n)
+
+    def frame():
+        df = R.to_pandas_schema_safe(run(ds))
+        return df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
+
+    small = frame()
+    monkeypatch.setattr(R, "SMALL_BYTES", 0)
+    pd.testing.assert_frame_equal(small, frame(), check_dtype=True)
+    assert (len(small) > 0) == (n > 0)
+    if n:
+        assert list(small.columns) == cols
+    if n and op == "partial_group_aggregate":
+        assert small["k"].isna().sum() == 1 and str(small["lo"].dtype) == "datetime64[us]"
+        assert small["n"].sum() == n
 
 
 def test_auto_semi_join_null_keys_agree(ray_session, monkeypatch):
