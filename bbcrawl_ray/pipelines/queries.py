@@ -287,13 +287,14 @@ def q_supplier_lineitem_volume(sf_dir: str) -> Dataset:
 
 def q_events_sessions(sf_dir: str) -> Dataset:
     """Sessionization (streaming window): events partitioned by user,
-    30-minute-gap session breaks — the ``R.sessionize`` operator with
-    TIME-BUCKETED execution (8 buckets): per-(user-shard, time-bucket)
-    groups compress events into session summaries, then a per-user pass
-    stitches sessions across bucket seams — so a single monster user
-    can never land its whole event history in one pandas group (round-3
-    verdict #3), and the driver's oracle row verifies the seam merge
-    bit-exactly."""
+    30-minute-gap session breaks — the ``R.sessionize`` operator. Within
+    the byte gate it runs as one task; above it, TIME-BUCKETED (8
+    buckets): per-(user-shard, time-bucket) groups compress events into
+    session summaries, then a per-user pass stitches sessions across
+    bucket seams — so a single monster user can never land its whole
+    event history in one pandas group (round-3 verdict #3).
+    ``test_window_query_distributed_matches_oracle`` forces that path
+    and checks the seam merge against the oracle."""
     ds = R.read_table(sf_dir, "events", columns=["user_id", "ts"])
     return R.sessionize(
         ds, "user_id", "ts", pd.Timedelta(minutes=30), time_buckets=8
@@ -435,12 +436,13 @@ def q_events_sliding_2h(sf_dir: str) -> Dataset:
 def q_events_value_delta(sf_dir: str) -> Dataset:
     """Ordered window function (lag): per user, each event's value minus
     the previous event's value; first event per user drops (SQL inner
-    lag). Runs the ``R.windowed_lag`` operator on its TIME-BUCKETED
-    path (8 buckets): per-(user-shard, bucket) groups compute the lag,
-    each (user, bucket)'s last row carries to the user's next occupied
-    bucket — a single monster user can never land its whole history in
-    one pandas group (round-3 verdict #3), verified bit-exact by the
-    driver's oracle row."""
+    lag). Runs the ``R.windowed_lag`` operator: one task within the
+    byte gate; above it TIME-BUCKETED (8 buckets): per-(user-shard,
+    bucket) groups compute the lag, each (user, bucket)'s last row
+    carries to the user's next occupied bucket — a single monster user
+    can never land its whole history in one pandas group (round-3
+    verdict #3). ``test_window_query_distributed_matches_oracle``
+    forces that path and checks it against the oracle."""
     ds = R.read_table(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
     return R.windowed_lag(
         ds,
@@ -456,11 +458,13 @@ def q_events_value_delta(sf_dir: str) -> Dataset:
 def q_events_running_total(sf_dir: str) -> Dataset:
     """Cumulative-sum window (running total): per user, the sum of all
     event values at-or-before each event — integer cents so the
-    value-hash is exact. Runs ``R.windowed_running_sum`` TIME-BUCKETED
-    (8 buckets): per-(user-shard, bucket) local cumsums + a tiny
-    per-user exclusive-prefix pass over bucket totals that joins back
-    through the byte-gated offset transport — monster keys split by
-    time range (round-3 verdict #3), oracle-verified."""
+    value-hash is exact. Runs ``R.windowed_running_sum``: one task
+    within the byte gate; above it TIME-BUCKETED (8 buckets):
+    per-(user-shard, bucket) local cumsums + a tiny per-user
+    exclusive-prefix pass over bucket totals that joins back through
+    the byte-gated offset transport — monster keys split by time range
+    (round-3 verdict #3). ``test_window_query_distributed_matches_oracle``
+    forces that path and checks it against the oracle."""
     ds = R.read_table(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
 
     def prep(t: pa.Table) -> pa.Table:

@@ -665,7 +665,7 @@ def asof_join(
     right values. Left rows with no prior right row drop (inner
     semantics). ``n_shards`` defaults to ``data_sized_shards`` over the
     summed input row counts, so one shard group stays ≈50-100 MB at any
-    scale; pass it explicitly to pin the layout.
+    scale; pass it explicitly to pin the distributed layout.
 
     ``time_buckets`` > 1 handles the SINGLE-MONSTER-KEY skew that
     key-sharding cannot split (round-3 verdict #3): rows additionally
@@ -683,32 +683,25 @@ def asof_join(
     including empty groups — enforces ONE dtype map, so the union and
     the output never emit mixed-schema blocks (round-2 verdict #3).
 
-    BYTE-GATED small path (same philosophy as ``auto_join`` /
-    ``partial_group_aggregate``): when the caller did NOT pin the
-    layout (no explicit ``n_shards``, no ``time_buckets``) and the two
-    sides' MEASURED combined size is within ``SMALL_BYTES``, the
-    tagged union coalesces into ONE task running the IDENTICAL
-    ``merge`` closure over the whole frame — the per-key sort+ffill is
-    global, so the output is bit-identical (pinned by
-    ``test_asof_small_path_parity``) while the key-shard groupby
-    shuffle's multi-second fixed cost is skipped entirely. Explicit
-    layouts always run distributed, so layout-pinning callers (and the
-    monster-key tests) keep exercising the shuffle machinery.
+    BYTE-GATED transport (the one gate, ``_fits``): when the two sides'
+    MEASURED combined size is within ``SMALL_BYTES``, the tagged union
+    coalesces into ONE task running the IDENTICAL ``merge`` closure
+    over the whole frame — the per-key sort+ffill is global, so the
+    output is bit-identical while the key-shard groupby shuffle's
+    multi-second fixed cost and the min/max time-axis pass are skipped,
+    whatever ``n_shards`` / ``time_buckets`` say. Above the budget they
+    shape the key-shard and time-bucket shuffles. Both sides are pinned
+    by ``test_window_paths_agree``.
     """
-    layout_pinned = n_shards is not None or time_buckets > 1
-    small_path = False
-    if n_shards is None or time_buckets > 1:
-        # materialize BOTH sides before sizing: Dataset.count() on
-        # derived lineage executes the whole upstream, and the tagged
-        # union below would execute it a second time — materialized
-        # blocks make the count free and are what the shuffle consumes
-        # anyway (object-store resident, spill-backed). The bucketed
-        # path always materializes: its min/max aggregates would
-        # otherwise re-execute the upstream too.
-        left, right = left.materialize(), right.materialize()
-        small_path = not layout_pinned and _fits([left, right], "asof_join")
-        if n_shards is None:
-            n_shards = data_sized_shards(left.count() + right.count())
+    # materialize BOTH sides before sizing: the size, the counts and
+    # the min/max aggregates would otherwise each re-execute the
+    # upstream, and the tagged union below once more
+    left, right = left.materialize(), right.materialize()
+    small_path = _fits([left, right], "asof_join")
+    if small_path:
+        n_shards, time_buckets = 1, 1
+    elif n_shards is None:
+        n_shards = data_sized_shards(left.count() + right.count())
     time_buckets = max(1, int(time_buckets))
     if time_buckets > 1:
         t0, t1 = _time_axis_bounds(left, right, left_time, right_time)
@@ -1007,25 +1000,23 @@ def _window_prep(
     n_shards: int | None,
     time_buckets: int,
 ):
-    """Shared sizing for the windowed operators: materialize (count and
-    min/max would re-execute lineage), derive shards from data, derive
-    the time-bucket axis. Returns (ds, n_shards, time_buckets, t0, span,
-    small) — ``small`` is True when the caller did NOT pin the layout
-    (no explicit n_shards / time_buckets) and the input's MEASURED size
-    is within ``SMALL_BYTES``: every windowed operator's per-group pandas
-    function groups by ``key`` internally, so running it once over the
-    whole frame in ONE coalesced task is bit-identical to the key-shard
-    shuffle while skipping the shuffle's multi-second fixed cost (the
-    ``asof_join`` small path's philosophy, pinned by
-    ``test_window_small_paths_parity``). Explicit layouts always run
-    distributed."""
-    layout_pinned = n_shards is not None or time_buckets > 1
-    small = False
-    if n_shards is None or time_buckets > 1:
-        ds = ds.materialize()
-        small = not layout_pinned and _fits(ds, "window")
-        if n_shards is None:
-            n_shards = data_sized_shards(ds.count())
+    """Shared sizing for the windowed operators: materialize (size,
+    count and min/max would re-execute lineage), measure with ``_fits``,
+    derive shards from data, derive the time-bucket axis. Returns (ds,
+    n_shards, time_buckets, t0, span, small) — ``small`` is True when the
+    input's MEASURED size is within ``SMALL_BYTES``: every windowed
+    operator's per-group pandas function groups by ``key`` internally,
+    so running it once over the whole frame in ONE coalesced task is
+    bit-identical to the key-shard shuffle while skipping the shuffle's
+    multi-second fixed cost and the min/max pass, whatever ``n_shards``
+    / ``time_buckets`` say. Above the budget they shape the key-shard
+    and time-bucket shuffles. Both sides are pinned by
+    ``test_window_paths_agree``."""
+    ds = ds.materialize()
+    if _fits(ds, "window"):
+        return ds, 1, 1, 0.0, 0.0, True
+    if n_shards is None:
+        n_shards = data_sized_shards(ds.count())
     time_buckets = max(1, int(time_buckets))
     t0 = span = 0.0
     if time_buckets > 1:
@@ -1033,7 +1024,7 @@ def _window_prep(
         span = t1 - t0
         if span <= 0:
             time_buckets = 1
-    return ds, n_shards, time_buckets, t0, span, small
+    return ds, n_shards, time_buckets, t0, span, False
 
 
 def _apply_per_key_window(sharded: Dataset, fn, small: bool) -> Dataset:

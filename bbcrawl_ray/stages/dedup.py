@@ -725,6 +725,13 @@ def _as_pa_type(schema, col: str) -> pa.DataType:
     return R._as_arrow_type(schema.types[list(schema.names).index(col)])
 
 
+def _id_type(mapping: Dataset, ds: Dataset, id_col: str) -> pa.DataType:
+    """Arrow type of the id column for a collapse expansion: the
+    mapping's, or the input's when an empty corpus left the mapping
+    without a schema (its empty blocks carry no columns)."""
+    return _as_pa_type(mapping.schema() or ds.schema(), id_col)
+
+
 def _content_key128(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Two independent 64-bit content hashes per text (128 bits total:
     a 64-bit key alone birthday-collides around 2^32 docs, which a
@@ -1080,7 +1087,7 @@ def minhash_dedup(
     # and a duplicate-free corpus must return a TYPED empty result.
     import ray.data as rd
 
-    id_type = _as_pa_type(mapping.schema(), id_col)
+    id_type = _id_type(mapping, ds, id_col)
     rep_labels = R.compact_blocks(
         _rename(labels, {"doc_id": "rep_id"}, ["doc_id", "cluster_id"])
     )
@@ -1374,7 +1381,7 @@ def ngram_jaccard_pairs(
 
     n_map = mapping.count()
     nparts = R.join_partitions(rows=n_map)
-    id_type = _as_pa_type(mapping.schema(), id_col)
+    id_type = _id_type(mapping, ds, id_col)
     parts: list[Dataset] = []
 
     cross = _expand_cross_member_pairs(
@@ -1642,7 +1649,7 @@ def simhash_near_dup(
 
     n_map = mapping.count()
     nparts = R.join_partitions(rows=n_map)
-    id_type = _as_pa_type(mapping.schema(), id_col)
+    id_type = _id_type(mapping, ds, id_col)
     parts: list[Dataset] = []
     cross = _expand_cross_member_pairs(
         rep_pairs, mapping, id_col, id_type, ["hamming"], nparts

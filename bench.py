@@ -343,7 +343,7 @@ BENCH_QUERIES = [
     "doc_token_freq",
     # round-5 additions (new keys; earlier rounds' comparable set
     # unchanged): the byte-gated supplier join and the bucketed
-    # sessionize showcase (explicit time_buckets=8 — always distributed)
+    # sessionize showcase (time_buckets=8 shapes its distributed side)
     "supplier_lineitem_volume",
     "events_sessions",
 ]

@@ -932,3 +932,27 @@ def test_sniff_media_header_malformed_and_fill_bytes():
     assert sniff_media_header(jpeg_fill) == ("jpeg", 20, 10)
     # EOI before any SOF: dimensions unknown, no crash
     assert sniff_media_header(b"\xff\xd8\xff\xd9" + b"\x00" * 8) == ("jpeg", 0, 0)
+
+
+@pytest.mark.parametrize(
+    "family, cols",
+    [
+        ("minhash_dedup", ["doc_id", "cluster_id"]),
+        ("ngram_jaccard_pairs", ["left_id", "right_id", "inter", "union_n"]),
+        ("simhash_near_dup", ["left_id", "right_id", "hamming"]),
+    ],
+)
+def test_exact_collapse_empty_corpus_typed(ray_session, family, cols):
+    """An empty corpus through the exact-collapse expansion returns an
+    empty, schema-typed result: the empty mapping carries no schema, so
+    the id type comes from the input."""
+    from bbcrawl_ray.pipelines.relops import to_pandas_schema_safe
+    from bbcrawl_ray.stages import dedup as D
+
+    empty = rd.from_arrow(
+        pa.table({"doc_id": pa.array([], pa.int64()), "text": pa.array([], pa.string())})
+    )
+    out = to_pandas_schema_safe(getattr(D, family)(empty, collapse_exact=True))
+    assert len(out) == 0
+    assert list(out.columns) == cols
+    assert str(out[cols[0]].dtype) == "int64"

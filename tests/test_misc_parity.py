@@ -347,7 +347,7 @@ def test_http_transport_loopback():
         srv.server_close()
 
 
-def test_asof_output_blocks_schema_uniform(ray_session):
+def test_asof_output_blocks_schema_uniform(ray_session, monkeypatch):
     """All NON-EMPTY blocks out of asof_join carry ONE schema and dtype
     set (round-2's bench tail showed float64-vs-int64 o_orderkey blocks
     out of the union — fixed by casting int value columns to the wire
@@ -364,7 +364,10 @@ def test_asof_output_blocks_schema_uniform(ray_session):
     import ray
     import ray.data as rd
 
+    from bbcrawl_ray.pipelines import relops
     from bbcrawl_ray.pipelines.relops import asof_join
+
+    monkeypatch.setattr(relops, "SMALL_BYTES", 0)  # force the distributed side
 
     n = 5_000
     rng = np.random.default_rng(3)
@@ -402,7 +405,7 @@ def test_asof_output_blocks_schema_uniform(ray_session):
     assert dict(schema)["v"] == "int64"  # right dtype restored, not float
 
 
-def test_asof_join_data_sized_shards_strings_and_skew(ray_session):
+def test_asof_join_data_sized_shards_strings_and_skew(ray_session, monkeypatch):
     """Round-3 items: (a) shard count derives from row count, no fixed
     64; (b) string left payloads and string value columns survive with
     dtype-matched nulls (no float-NaN/string mixed blocks); (c) on a
@@ -413,7 +416,10 @@ def test_asof_join_data_sized_shards_strings_and_skew(ray_session):
     import pyarrow as pa
     import ray.data as rd
 
+    from bbcrawl_ray.pipelines import relops
     from bbcrawl_ray.pipelines.relops import asof_join, data_sized_shards, shard_of
+
+    monkeypatch.setattr(relops, "SMALL_BYTES", 0)  # force the distributed side
 
     assert data_sized_shards(1) == 16
     assert data_sized_shards(500_000 * 64) == 64
@@ -506,59 +512,126 @@ def test_request_uri_fast_path_parity():
         assert _request_uri(link) == slow(link), link
 
 
-def test_window_small_paths_parity(ray_session):
-    """The windowed operators' byte-gated single-task paths (default
-    layout, small measured input) are bit-identical to the pinned
-    key-shard shuffle paths — lag, running sum, and sessionize."""
+_WINDOW_OPS = ["sessionize", "windowed_lag", "windowed_running_sum", "asof_join"]
+
+
+def _window_case(op):
+    """(run(buckets) -> Dataset, pandas oracle, output columns) for one
+    windowed operator over 25 keys, ~4k events in 8 blocks."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
 
-    from bbcrawl_ray.pipelines.relops import sessionize, windowed_lag, windowed_running_sum
+    from bbcrawl_ray.pipelines import relops as R
 
     rng = np.random.default_rng(31)
-    n = 4_000
+    n, rn = 4_000, 800
+    t0 = pd.Timestamp("2024-01-01")
     df = pd.DataFrame(
         {
             "k": rng.integers(0, 25, n).astype(np.int64),
-            "t": pd.Timestamp("2024-01-01")
-            + pd.to_timedelta(rng.integers(0, 10**5, n), unit="s"),
+            "t": (t0 + pd.to_timedelta(rng.integers(0, 10**5, n), unit="s")).astype("datetime64[us]"),
             "v": rng.integers(-50, 50, n).astype(np.int64),
             "eid": np.arange(n, dtype=np.int64),
         }
     ).drop_duplicates(["k", "t"])
+    rt = pd.DataFrame(
+        {
+            "k": rng.integers(0, 25, rn).astype(np.int64),
+            "rt": (t0 + pd.to_timedelta(rng.integers(0, 10**5, rn), unit="s")).astype("datetime64[us]"),
+            "w": rng.integers(0, 10**6, rn).astype(np.int64),
+        }
+    ).drop_duplicates(["k", "rt"])
 
-    def src():
-        return rd.from_pandas(df).repartition(8)
+    def src(frame):
+        return rd.from_pandas(frame).repartition(8)
 
-    def norm(d, cols):
-        return (
-            d.to_pandas()[cols].sort_values(cols, kind="mergesort").reset_index(drop=True)
-        )
-
+    s = df.sort_values(["k", "t", "eid"], kind="mergesort")
+    gap = pd.Timedelta(minutes=30)
     kw = dict(key="k", order_cols=["t", "eid"], value_col="v", keep_cols=["eid"])
-    cols = ["k", "eid", "value_delta"]
-    pd.testing.assert_frame_equal(
-        norm(windowed_lag(src(), **kw), cols),
-        norm(windowed_lag(src(), n_shards=4, **kw), cols),
+    if op == "sessionize":
+        brk = s.groupby("k")["t"].diff() > gap
+        s = s.assign(session_id=brk.groupby(s["k"]).cumsum().astype("int64") + 1)
+        oracle = (
+            s.groupby(["k", "session_id"])
+            .agg(n_events=("t", "size"), session_start=("t", "min"))
+            .reset_index()
+        )
+        oracle["n_events"] = oracle["n_events"].astype("int64")
+        return (
+            lambda b: R.sessionize(src(df), "k", "t", gap, time_buckets=b),
+            oracle,
+            ["k", "session_id", "n_events", "session_start"],
+        )
+    if op == "windowed_lag":
+        oracle = s.assign(value_delta=s.groupby("k")["v"].diff()).dropna(subset=["value_delta"])
+        return (
+            lambda b: R.windowed_lag(src(df), time_buckets=b, **kw),
+            oracle,
+            ["k", "eid", "value_delta"],
+        )
+    if op == "windowed_running_sum":
+        oracle = s.assign(running=s.groupby("k")["v"].cumsum())
+        return (
+            lambda b: R.windowed_running_sum(src(df), out_col="running", time_buckets=b, **kw),
+            oracle,
+            ["k", "eid", "running"],
+        )
+    oracle = pd.merge_asof(
+        df.sort_values("t", kind="mergesort"),
+        rt.sort_values("rt", kind="mergesort"),
+        left_on="t", right_on="rt", by="k", direction="backward",
+    ).dropna(subset=["w"])
+    oracle["w"] = oracle["w"].astype("int64")
+    return (
+        lambda b: R.asof_join(
+            src(df), src(rt), key="k", left_time="t", right_time="rt",
+            value_cols=["w"], time_buckets=b,
+        ),
+        oracle,
+        ["k", "t", "v", "eid", "w"],
     )
-    cols = ["k", "eid", "running"]
-    pd.testing.assert_frame_equal(
-        norm(windowed_running_sum(src(), out_col="running", **kw), cols),
-        norm(windowed_running_sum(src(), out_col="running", n_shards=4, **kw), cols),
+
+
+@pytest.mark.parametrize("buckets", [1, 4])
+@pytest.mark.parametrize("op", _WINDOW_OPS)
+def test_window_paths_agree(ray_session, monkeypatch, op, buckets):
+    """Every windowed operator gives the pandas oracle's frame, dtypes
+    included, on both sides of the byte gate: within ``SMALL_BYTES``
+    one coalesced task with no min/max time-axis pass, whatever
+    ``time_buckets`` says; at ``SMALL_BYTES`` = 0 the key-shard (and,
+    with buckets, time-bucket) shuffles."""
+    import pandas as pd
+
+    from bbcrawl_ray.pipelines import relops as R
+
+    run, oracle, cols = _window_case(op)
+    minmax_calls = []
+    agg_minmax = R._agg_minmax
+    monkeypatch.setattr(
+        R, "_agg_minmax", lambda *a: minmax_calls.append(a) or agg_minmax(*a)
     )
-    cols = ["k", "session_id", "n_events", "session_start"]
-    pd.testing.assert_frame_equal(
-        norm(sessionize(src(), "k", "t", pd.Timedelta(minutes=30)), cols),
-        norm(sessionize(src(), "k", "t", pd.Timedelta(minutes=30), n_shards=4), cols),
-    )
+
+    def frame(ds):
+        return ds.to_pandas()[cols].sort_values(cols, kind="mergesort").reset_index(drop=True)
+
+    expect = oracle[cols].sort_values(cols, kind="mergesort").reset_index(drop=True)
+    small = frame(run(buckets))
+    assert not minmax_calls
+    monkeypatch.setattr(R, "SMALL_BYTES", 0)
+    distributed = frame(run(buckets))
+    assert bool(minmax_calls) == (buckets > 1)
+    assert len(expect) > 100
+    pd.testing.assert_frame_equal(small, expect, check_dtype=True)
+    pd.testing.assert_frame_equal(distributed, expect, check_dtype=True)
 
 
 def test_running_sum_offsets_join_paths_agree(ray_session, monkeypatch):
     """windowed_running_sum with time buckets joins its per-bucket
-    offsets back onto the stream: the broadcast merge and the engine
-    hash join (``SMALL_BYTES`` = 0) give identical rows, equal to the
-    pandas cumsum oracle."""
+    offsets back onto the stream: the broadcast merge (a budget just
+    under the input's size, so the window runs bucketed but the offsets
+    fit) and the engine hash join (``SMALL_BYTES`` = 0) give identical
+    rows, equal to the pandas cumsum oracle."""
     import numpy as np
     import pandas as pd
     import ray.data as rd
@@ -586,9 +659,16 @@ def test_running_sum_offsets_join_paths_agree(ray_session, monkeypatch):
         out = R.windowed_running_sum(rd.from_pandas(df).repartition(6), **kw).to_pandas()
         return out[cols].sort_values(cols, kind="mergesort").reset_index(drop=True)
 
+    joins = []
+    for name in ("broadcast_join", "hash_join"):
+        fn = getattr(R, name)
+        monkeypatch.setattr(R, name, lambda *a, _n=name, _f=fn, **k: joins.append(_n) or _f(*a, **k))
+    in_bytes = rd.from_pandas(df).repartition(6).materialize().size_bytes()
+    monkeypatch.setattr(R, "SMALL_BYTES", in_bytes - 1)
     broadcast = run()
     monkeypatch.setattr(R, "SMALL_BYTES", 0)
     hashed = run()
+    assert joins == ["broadcast_join", "hash_join"]
     s = df.sort_values(["k", "t", "eid"], kind="mergesort")
     oracle = s.assign(running=s.groupby("k")["v"].cumsum())[cols]
     oracle = oracle.sort_values(cols, kind="mergesort").reset_index(drop=True)
@@ -596,60 +676,7 @@ def test_running_sum_offsets_join_paths_agree(ray_session, monkeypatch):
     pd.testing.assert_frame_equal(hashed, oracle)
 
 
-def test_asof_small_path_parity(ray_session):
-    """asof_join's byte-gated single-task path (default layout, small
-    measured inputs) is bit-identical to the pinned distributed path
-    and to the merge_asof oracle — the gate only picks transport."""
-    import numpy as np
-    import pandas as pd
-    import ray.data as rd
-
-    from bbcrawl_ray.pipelines.relops import asof_join
-
-    rng = np.random.default_rng(23)
-    n, rn = 5_000, 800
-    lt = pd.DataFrame(
-        {
-            "k": rng.integers(0, 40, n).astype(np.int64),
-            "t": pd.Timestamp("2024-01-01")
-            + pd.to_timedelta(rng.integers(0, 10**5, n), unit="s"),
-            "eid": np.arange(n, dtype=np.int64),
-        }
-    )
-    rt = pd.DataFrame(
-        {
-            "k": rng.integers(0, 40, rn).astype(np.int64),
-            "rt": pd.Timestamp("2024-01-01")
-            + pd.to_timedelta(rng.integers(0, 10**5, rn), unit="s"),
-            "v": rng.integers(0, 10**6, rn).astype(np.int64),
-        }
-    ).drop_duplicates(["k", "rt"])
-
-    kw = dict(key="k", left_time="t", right_time="rt", value_cols=["v"])
-    small = asof_join(
-        rd.from_pandas(lt).repartition(8), rd.from_pandas(rt).repartition(8), **kw
-    ).to_pandas()
-    pinned = asof_join(
-        rd.from_pandas(lt).repartition(8), rd.from_pandas(rt).repartition(8),
-        n_shards=4, **kw,
-    ).to_pandas()
-
-    cols = ["k", "t", "eid", "v"]
-
-    def norm(df):
-        return df[cols].sort_values(cols, kind="mergesort").reset_index(drop=True)
-
-    pd.testing.assert_frame_equal(norm(small), norm(pinned))
-    oracle = pd.merge_asof(
-        lt.sort_values("t", kind="mergesort"),
-        rt.sort_values("rt", kind="mergesort"),
-        left_on="t", right_on="rt", by="k", direction="backward",
-    ).dropna(subset=["v"])
-    oracle["v"] = oracle["v"].astype("int64")
-    pd.testing.assert_frame_equal(norm(small), norm(oracle))
-
-
-def test_asof_time_buckets_monster_key(ray_session):
+def test_asof_time_buckets_monster_key(ray_session, monkeypatch):
     """Round-3 verdict #3: a SINGLE key holding ~all rows cannot be
     split by key-sharding — time_buckets partitions it by time range
     with a boundary carry. Pinned: (a) bit-identical to the unbucketed
@@ -659,7 +686,10 @@ def test_asof_time_buckets_monster_key(ray_session):
     import pandas as pd
     import ray.data as rd
 
+    from bbcrawl_ray.pipelines import relops
     from bbcrawl_ray.pipelines.relops import asof_join
+
+    monkeypatch.setattr(relops, "SMALL_BYTES", 0)  # force the distributed side
 
     rng = np.random.default_rng(11)
     n, rn, B = 40_000, 4_000, 16
@@ -718,7 +748,7 @@ def test_asof_time_buckets_monster_key(ray_session):
     assert group_sizes.max() <= hot // B + 6 * ((n + rn) // (4 * B))
 
 
-def test_sessionize_time_buckets_seam_merge(ray_session):
+def test_sessionize_time_buckets_seam_merge(ray_session, monkeypatch):
     """Bucketed sessionize must stitch sessions across bucket seams:
     a crafted stream whose sessions straddle bucket boundaries (and one
     session spanning several buckets) comes out bit-identical to the
@@ -728,8 +758,10 @@ def test_sessionize_time_buckets_seam_merge(ray_session):
     import pandas as pd
     import ray.data as rd
 
+    from bbcrawl_ray.pipelines import relops
     from bbcrawl_ray.pipelines.relops import sessionize
 
+    monkeypatch.setattr(relops, "SMALL_BYTES", 0)  # force the distributed side
     rng = np.random.default_rng(7)
     base = pd.Timestamp("2024-03-01")
     rows = []
@@ -867,7 +899,7 @@ def test_download_streams_body_in_chunks(ray_session, tmp_path):
         srv.server_close()
 
 
-def test_windowed_lag_and_running_sum_monster_key(ray_session):
+def test_windowed_lag_and_running_sum_monster_key(ray_session, monkeypatch):
     """Round-3 verdict #3 (window family): windowed_lag and
     windowed_running_sum split a single monster key by time bucket —
     bucketed output is bit-identical to the unbucketed path and to a
@@ -877,8 +909,10 @@ def test_windowed_lag_and_running_sum_monster_key(ray_session):
     import pandas as pd
     import ray.data as rd
 
+    from bbcrawl_ray.pipelines import relops
     from bbcrawl_ray.pipelines.relops import windowed_lag, windowed_running_sum
 
+    monkeypatch.setattr(relops, "SMALL_BYTES", 0)  # force the distributed side
     rng = np.random.default_rng(13)
     n = 30_000
     keys = np.where(rng.random(n) < 0.9, 0, rng.integers(1, 6, n)).astype(np.int64)
@@ -972,16 +1006,21 @@ def test_grouped_rank_topk_monster_key_and_ties(ray_session, monkeypatch):
     pd.testing.assert_frame_equal(hashed, expect)
 
 
-def test_bucketed_operators_empty_inputs(ray_session):
+def test_bucketed_operators_empty_inputs(ray_session, monkeypatch):
     """Empty inputs through the time-bucketed operators: the min/max
     sizing aggregates return None on zero rows — must degrade to the
     single-bucket path and yield empty results, not crash."""
     import pandas as pd
     import ray.data as rd
 
+    from bbcrawl_ray.pipelines import relops
     from bbcrawl_ray.pipelines.relops import (
         asof_join, sessionize, windowed_lag, windowed_running_sum,
     )
+
+    # an empty pandas block still measures its schema's bytes, so a
+    # zero budget sends it down the bucketed path too
+    monkeypatch.setattr(relops, "SMALL_BYTES", 0)  # force the distributed side
 
     empty = pd.DataFrame(
         {

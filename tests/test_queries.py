@@ -55,8 +55,7 @@ def _names():
     return sorted(ORACLE_SQL)
 
 
-@pytest.mark.parametrize("name", _names())
-def test_query_matches_oracle(ray_session, sf_dir, name):
+def assert_matches_oracle(sf_dir, name):
     from bbcrawl_ray.pipelines.queries import ORACLE_SQL, QUERIES
 
     got = normalize(to_pandas(QUERIES[name](sf_dir)))
@@ -64,6 +63,25 @@ def test_query_matches_oracle(ray_session, sf_dir, name):
     assert list(got.columns) == list(exp.columns)
     assert len(got) == len(exp), f"{name}: {len(got)} rows vs oracle {len(exp)}"
     pd.testing.assert_frame_equal(got, exp, check_dtype=False, check_exact=True)
+
+
+@pytest.mark.parametrize("name", _names())
+def test_query_matches_oracle(ray_session, sf_dir, name):
+    assert_matches_oracle(sf_dir, name)
+
+
+@pytest.mark.parametrize(
+    "name", ["events_sessions", "events_value_delta", "events_running_total", "events_last_order"]
+)
+def test_window_query_distributed_matches_oracle(ray_session, sf_dir, monkeypatch, name):
+    """The event windows at this scale take the one-task side of the
+    byte gate; at ``SMALL_BYTES`` = 0 they run their key-shard and
+    time-bucket shuffles (seam merge, carries, offsets), which must
+    match the same oracle."""
+    from bbcrawl_ray.pipelines import relops as R
+
+    monkeypatch.setattr(R, "SMALL_BYTES", 0)
+    assert_matches_oracle(sf_dir, name)
 
 
 def test_all_queries_have_callables():
