@@ -489,12 +489,12 @@ def q_events_running_total(sf_dir: str) -> Dataset:
 
 
 def q_price_quantiles(sf_dir: str) -> Dataset:
-    """EXACT grouped quantiles, distributed: the shuffle moves one
+    """EXACT grouped quantiles, distributed: the keyed tail moves one
     (group, value, count) row per distinct cents value (value-count
-    pre-aggregation), then a tiny per-group cumsum rank-select — no
-    group ever materializes its raw rows. Quantile definition is the
-    element at rank ceil(q*n) (1-indexed), which is engine-independent
-    and float-hash-safe on cents."""
+    pre-aggregation), then a tiny per-group cumsum rank-select
+    (``relops._by_key``) — no group ever materializes its raw rows.
+    Quantile definition is the element at rank ceil(q*n) (1-indexed),
+    which is engine-independent and float-hash-safe on cents."""
     ds = R.read_table(sf_dir, "lineitem", columns=["l_returnflag", "l_extendedprice"])
 
     def prep(t: pa.Table) -> pa.Table:
@@ -506,24 +506,18 @@ def q_price_quantiles(sf_dir: str) -> Dataset:
         ds.map_batches(prep, batch_format="pyarrow"),
         ["l_returnflag", "cents"],
         {"cnt": ("count", None)},
-    )
+    ).materialize()
 
-    def rank_select(g: pd.DataFrame) -> pd.DataFrame:
+    def rank_select(g: pd.DataFrame) -> dict:
         g = g.sort_values("cents", kind="mergesort")
         cum = g["cnt"].cumsum().to_numpy()
-        vals = g["cents"].to_numpy()
-        p50, p90 = R.rank_select_quantiles(vals, cum, (0.5, 0.9))
-        return pd.DataFrame(
-            [
-                {
-                    "l_returnflag": g["l_returnflag"].iloc[0],
-                    "p50_cents": int(p50),
-                    "p90_cents": int(p90),
-                }
-            ]
-        )
+        p50, p90 = R.rank_select_quantiles(g["cents"].to_numpy(), cum, (0.5, 0.9))
+        return {"p50_cents": int(p50), "p90_cents": int(p90)}
 
-    return counts.groupby("l_returnflag").map_groups(rank_select, batch_format="pandas")
+    def per_flag(g: pd.DataFrame) -> pd.DataFrame:
+        return R.rows_per_group(g, "l_returnflag", rank_select, ["p50_cents", "p90_cents"])
+
+    return R._by_key(counts, ["l_returnflag"], per_flag, "pandas")
 
 
 def q_events_last_order(sf_dir: str) -> Dataset:
@@ -797,26 +791,27 @@ def q_priorities_only_1996(sf_dir: str) -> Dataset:
 def q_segment_priorities_list(sf_dir: str) -> Dataset:
     """Order-sensitive grouped collect (string_agg): the sorted distinct
     order priorities per market segment, comma-joined. Distinct first
-    (tiny result), then a per-group sorted join — the concat itself
-    never sees raw rows."""
+    (tiny result), then a per-group sorted join in the keyed tail
+    (``relops._by_key``) — the concat itself never sees raw rows."""
     orders = R.read_table(sf_dir, "orders", columns=["o_custkey", "o_orderpriority"])
     cust = R.read_table(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     joined = R.auto_join(orders, cust, left_on="o_custkey", right_on="c_custkey")
-    pairs = R.distinct(joined, ["c_mktsegment", "o_orderpriority"])
+    pairs = R.distinct(joined, ["c_mktsegment", "o_orderpriority"]).materialize()
 
     def agg(g: pd.DataFrame) -> pd.DataFrame:
-        vals = sorted(g["o_orderpriority"].tolist())
-        return pd.DataFrame(
-            [{"c_mktsegment": g["c_mktsegment"].iloc[0], "priorities": ",".join(vals)}]
+        return R.rows_per_group(
+            g, "c_mktsegment",
+            lambda grp: {"priorities": ",".join(sorted(grp["o_orderpriority"]))},
+            ["priorities"],
         )
 
-    return pairs.groupby("c_mktsegment").map_groups(agg, batch_format="pandas")
+    return R._by_key(pairs, ["c_mktsegment"], agg, "pandas")
 
 
 def q_segment_top_priority(sf_dir: str) -> Dataset:
     """Grouped ARGMAX: the order priority carrying the highest revenue
-    per market segment — grouped sum first (small result), then a
-    per-group head(1) with a deterministic tie-break."""
+    per market segment — grouped sum first (small result), then
+    ``relops.grouped_topk`` with k = 1 and a deterministic tie-break."""
     orders = R.read_table(
         sf_dir, "orders", columns=["o_custkey", "o_totalprice", "o_orderpriority"]
     )
@@ -837,13 +832,9 @@ def q_segment_top_priority(sf_dir: str) -> Dataset:
         ["c_mktsegment", "o_orderpriority"],
         {"revenue_cents": ("sum", "revenue_cents")},
     )
-
-    def top1(g: pd.DataFrame) -> pd.DataFrame:
-        return g.sort_values(
-            ["revenue_cents", "o_orderpriority"], ascending=[False, True], kind="mergesort"
-        ).head(1)
-
-    return agg.groupby("c_mktsegment").map_groups(top1, batch_format="pandas")
+    return R.grouped_topk(
+        agg, ["c_mktsegment"], ["revenue_cents", "o_orderpriority"], [True, False], 1
+    )
 
 
 def q_brand_price_rank(sf_dir: str) -> Dataset:

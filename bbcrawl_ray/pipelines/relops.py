@@ -21,12 +21,14 @@ them) that can run its tail either as one coalesced task / broadcast or
 distributed decides with ``_fits`` against the ONE budget
 ``SMALL_BYTES`` — measured bytes of the materialized input, never a row
 count, so nothing data-proportional lands in one task or on the driver
-as the corpus grows. Keyed tails (grouped aggregates, distinct, grouped
-top-k, the dedup combines) all go through ``_by_key``: one callable that
-groups by the key itself runs either once over everything or once per
-hash shard of the key (``_shard`` + ``map_groups``) — never the engine's
-grouped aggregate, whose cost grows steeply with the group count. Joins
-above the budget use the engine hash join.
+as the corpus grows. Every keyed stage outside the time-bucketed
+windows runs one callable that groups by the key itself, either once
+over everything or once per hash shard of the key (``_sharded``: the
+``_shard`` column + ``map_groups``) — never the engine's grouped
+aggregate, whose cost grows steeply with the group count. Stages that
+emit no more rows than they read go through the gate (``_by_key``);
+pair expansions, whose output outgrows their input, are always sharded.
+Joins above the budget use the engine hash join.
 """
 
 from __future__ import annotations
@@ -79,13 +81,23 @@ def _by_key(partials: Dataset, keys: Sequence[str], fn: Callable, batch_format: 
     """The one keyed tail: ``fn`` must group by ``keys`` itself, so
     running it over any key-closed slice of ``partials`` gives that
     slice's share of the answer. Within ``SMALL_BYTES`` it runs once
-    over everything (``_coalesced``); above it the key columns hash
-    (``shard_of``) into ``data_sized_shards`` shards and the SAME ``fn``
-    runs per shard in ``map_groups``. One callable on both sides, so the
-    transport cannot change schema, dtypes, null keys or ties. The
-    sharded side's empty partitions (zero-column blocks) are dropped."""
+    over everything (``_coalesced``); above it, ``_sharded``. One
+    callable on both sides, so the transport cannot change schema,
+    dtypes, null keys or ties."""
     if _fits(partials, fn.__qualname__):
         return _coalesced(partials, fn, batch_format)
+    return _sharded(partials, keys, fn, batch_format)
+
+
+def _sharded(partials: Dataset, keys: Sequence[str], fn: Callable, batch_format: str) -> Dataset:
+    """The distributed side of the keyed tail: the key columns hash
+    (``shard_of``) into ``data_sized_shards`` shards and ``fn`` (which
+    groups by ``keys`` itself) runs once per shard in ``map_groups``.
+    Stages whose output or CPU grows faster than their input (pair
+    expansion) call it directly: an input-bytes budget bounds neither,
+    and one task would run serially what the shards spread. The empty
+    partitions (zero-column blocks) are dropped."""
+    partials = partials.materialize()  # counted here, then shuffled
     keys = list(keys)
     n_shards = data_sized_shards(partials.count())
 
@@ -99,6 +111,15 @@ def _by_key(partials: Dataset, keys: Sequence[str], fn: Callable, batch_format: 
 
     sharded = partials.map_batches(add_shard, batch_format=batch_format)
     return compact_blocks(sharded.groupby("_shard").map_groups(per_shard, batch_format=batch_format))
+
+
+def rows_per_group(g: pd.DataFrame, key: str, row: Callable, columns: Sequence[str]) -> pd.DataFrame:
+    """One row per ``key`` group of ``g``, null keys included: the key,
+    then ``row(group)``'s values for ``columns``. The whole-frame form of
+    a one-row-per-group UDF that ``_by_key`` runs on either side."""
+    groups = g.groupby(key, sort=False, dropna=False)
+    rows = [{key: grp[key].iloc[0], **row(grp)} for _, grp in groups]
+    return pd.DataFrame(rows, columns=[key, *columns])
 
 
 # ---------------------------------------------------------------------------
@@ -584,12 +605,12 @@ def rank_select_quantiles(vals: np.ndarray, cum: np.ndarray, qs: Sequence[float]
 def data_sized_shards(
     total_rows: int, target_rows: int = _SHARD_TARGET_ROWS, min_shards: int = 16
 ) -> int:
-    """Shard count for coarse-shard ``groupby().map_groups`` stages,
-    derived from the DATA, not a constant: each shard group materializes
-    as ONE pandas DataFrame in one worker, so a fixed count becomes a
-    worker-OOM cliff at 100× the data (round-2 verdict item #2). No
-    upper cap — shards scale with rows; the floor keeps small inputs
-    spread across a test cluster."""
+    """Shard count for the key-shard stages (``_sharded`` and the
+    windows), derived from the DATA, not a constant: each shard group
+    materializes as ONE pandas DataFrame in one worker, so a fixed count
+    becomes a worker-OOM cliff at 100× the data (round-2 verdict item
+    #2). No upper cap — shards scale with rows; the floor keeps small
+    inputs spread across a test cluster."""
     return max(min_shards, -(-int(total_rows) // target_rows))
 
 
@@ -1209,16 +1230,11 @@ def compact_blocks(ds: Dataset) -> Dataset:
     zero-column empty blocks for empty partitions; feeding those into a
     ``Dataset.join`` fails with "No match for key field reference". Row
     blocks stay in the object store (refs are reused, nothing lands on
-    the driver)."""
+    the driver). Row counts come from the block metadata, not from a
+    remote count task per block (0.04–1.5 s per call on a 4-CPU host)."""
     mat = ds.materialize()
-    refs = mat.to_arrow_refs()
-
-    @ray.remote(num_cpus=0)
-    def _nrows(t) -> int:
-        # blocks can be Arrow tables OR pandas frames (map_groups output)
-        return t.num_rows if hasattr(t, "num_rows") else len(t)
-
-    keep = [r for r, n in zip(refs, ray.get([_nrows.remote(r) for r in refs])) if n > 0]
+    rows = [md.num_rows for b in mat.iter_internal_ref_bundles() for _, md in b.blocks]
+    keep = [r for r, n in zip(mat.to_arrow_refs(), rows) if n != 0]
     if not keep:
         return mat
     return rd.from_arrow_refs(keep)

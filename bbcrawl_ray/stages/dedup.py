@@ -7,9 +7,10 @@ Five dedup families, each Ray-Data-first:
                  distinct key per block reaches the combine.
 - MinHash+LSH  — char-shingle → 64-perm minhash signature per doc
                  (numpy, vectorized over permutations) → banded LSH
-                 explode → ``groupby(band_id, band_hash)`` → candidate
-                 pairs → Jaccard verify → connected components by
-                 min-label propagation.
+                 explode → band rows sharded on (band_id, band_hash)
+                 by ``relops._sharded`` → candidate pairs → Jaccard
+                 verify → connected components by min-label
+                 propagation.
 - SimHash      — 64-bit weighted token hash; near-dup = hamming ≤ k,
                  candidates via 4×16-bit band buckets.
 - n-gram Jaccard — the verify kernel (shared with MinHash candidates).
@@ -274,16 +275,15 @@ def band_rows_from_sigs(
     return _band_table(t[id_col], sigs[:, : bands * rows_per_band], bands, rows_per_band)
 
 
-def minhash_candidates(
-    ds: Dataset, shards: int = 32, sigs: Dataset | None = None, **stage_kw
-) -> Dataset:
-    """documents → distinct candidate pairs from banded minhash LSH.
+def minhash_candidates(ds: Dataset, sigs: Dataset | None = None, **stage_kw) -> Dataset:
+    """documents → candidate pairs from banded minhash LSH.
 
-    Two-level scheme: band rows shuffle on a COARSE shard key
-    (hash(band) % shards) so the grouped stage runs one vectorized
-    pandas groupby per shard instead of one Python call per bucket —
-    buckets are almost all singletons, and per-group UDF overhead at
-    ~1M buckets would dwarf the real work.
+    Band rows hash-shard on (band_id, band_hash) through
+    ``relops._sharded``, and ``_shard_pairs`` runs one vectorized pandas
+    groupby per shard instead of one Python call per bucket — buckets
+    are almost all singletons, and per-group UDF overhead at ~1M
+    buckets would dwarf the real work. Always sharded: the pair output
+    can outgrow the band rows.
 
     Pass ``sigs`` (from ``SignatureStage``) to band precomputed
     signatures instead of re-shingling the corpus.
@@ -298,29 +298,18 @@ def minhash_candidates(
         )
     else:
         bands_ds = ds.map_batches(MinHashStage(**stage_kw), batch_format="pyarrow")
-
-    def add_shard(t: pa.Table) -> pa.Table:
-        bh = t["band_hash"].to_numpy(zero_copy_only=False)
-        bid = t["band_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        shard = ((bh ^ (bid * np.uint64(0x9E3779B97F4A7C15))) % np.uint64(shards)).astype(
-            np.int32
-        )
-        return t.append_column("shard", pa.array(shard))
-
-    sharded = bands_ds.map_batches(add_shard, batch_format="pyarrow")
-    # NOTE: a pair can surface from several bands (different shards) —
-    # downstream consumers (Jaccard verify → union-find) are idempotent,
-    # so no distinct-shuffle is spent on it; the verify stage dedups
-    # per batch to halve repeat work.
-    return sharded.groupby("shard").map_groups(_shard_pairs, batch_format="pandas")
+    # a pair can surface from several bands (different shards): callers
+    # dedup the stream (``relops.distinct``) before the verify
+    return R._sharded(bands_ds, ["band_id", "band_hash"], _shard_pairs, "pandas")
 
 
 def connected_components(pairs: pd.DataFrame) -> pd.DataFrame:
     """(left_id, right_id) → (doc_id, cluster_id=min reachable id).
 
     Driver-side union-find — the verified-duplicate pair set is orders
-    of magnitude smaller than the corpus. (At 100 TB, swap in the
-    iterative min-label-propagation groupby; same contract.)
+    of magnitude smaller than the corpus. ``cluster_propagate`` calls it
+    within its edge gate and runs distributed min-label propagation
+    above it; same contract.
     """
     parent: dict = {}
 
@@ -453,17 +442,6 @@ def _sig_estimate_filter(t: pa.Table, min_est: float) -> pa.Table:
 # rejected long before the expensive exact verify
 _SIG_MARGIN = 0.25
 
-# broadcast gates: ABSOLUTE bounds, never data-proportional. Below them
-# the small side ships once via ray.put instead of paying 2 join
-# operators' startup; above them the hash-partitioned join path runs.
-# The signature table (520 B/doc, ≤ ~128k docs) and the survivor
-# shingle map share the one byte budget ``relops.SMALL_BYTES``; the
-# shingle map's bytes are counted WHILE building (bail to the join path
-# the moment it trips), so that gate bounds actual bytes, not a
-# pair-count proxy.
-_SURV_BROADCAST_PAIRS = 4_000_000    # id-set ceiling: ≤ ~64 MB of ids
-
-
 def _sig_est_from_maps(t: pa.Table, sig_ref, min_est: float) -> pa.Table:
     import ray
 
@@ -527,13 +505,17 @@ def verify_pairs_distributed(
        jaccard ≥ τ decides. Candidate blowup (pairs ≫ docs, the LSH
        norm) never multiplies the heavy payload.
 
-    Each tier picks its transport by an ABSOLUTE size gate: when the
-    small side fits a fixed byte budget it broadcasts once via ray.put
-    (skipping two join operators' startup — the dominant cost at small
-    scale); otherwise hash-partitioned ``Dataset.join``s run. The gates
-    are constants, so nothing data-proportional can land on the driver
-    as the corpus or the dup rate grows — a 30-50% dup-rate corpus (the
-    web-scale norm) streams through the join path.
+    Each tier picks its transport with ``relops._fits`` on measured
+    bytes: when the materialized signatures (tier 1) or survivors
+    (tier 2) fit ``relops.SMALL_BYTES``, the small side broadcasts once
+    via ray.put (skipping two join operators' startup — the dominant
+    cost at small scale); otherwise hash-partitioned ``Dataset.join``s
+    run. The survivor shingle map's bytes are counted WHILE building
+    and bail to the join path the moment they trip the same budget, so
+    nothing data-proportional can land on the driver as the corpus or
+    the dup rate grows — a 30-50% dup-rate corpus (the web-scale norm)
+    streams through the join path. ``broadcast_gates=False`` forces the
+    join path.
     """
     import ray
 
@@ -546,8 +528,8 @@ def verify_pairs_distributed(
     # tier 1: signature prefilter (reuse precomputed signatures if given)
     if sigs is None:
         sigs = docs.map_batches(SignatureStage(id_col, text_col, k), batch_format="pyarrow")
-    n_docs = ds.count()
-    if broadcast_gates and n_docs * 520 <= R.SMALL_BYTES:
+    sigs = sigs.materialize()
+    if broadcast_gates and R._fits(sigs, "verify_signatures"):
         sig_map: dict = {}
         for b in sigs.iter_batches(batch_format="pyarrow"):
             sig_map.update(zip(b[id_col].to_pylist(), b["sig"].to_pylist()))
@@ -574,7 +556,7 @@ def verify_pairs_distributed(
 
     # tier 2: exact verify on survivors
     sh_ref = None
-    if broadcast_gates and n_surv <= _SURV_BROADCAST_PAIRS:
+    if broadcast_gates and R._fits(survivors, "verify_survivors"):
         surv_ids: set = set()
         for b in survivors.iter_batches(batch_format="pyarrow"):
             surv_ids.update(b["left_id"].to_pylist())
@@ -755,18 +737,14 @@ def _content_key128(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
         )
 
 
-def exact_collapse(
-    ds: Dataset, id_col: str = "doc_id", text_col: str = "text",
-    n_shards: int | None = None,
-) -> Dataset:
+def exact_collapse(ds: Dataset, id_col: str = "doc_id", text_col: str = "text") -> Dataset:
     """(id, text) → one row per doc: (id, rep = min id with identical
-    text, group size, has_content flag). KEYS-ONLY: the shuffle moves
-    (id, 128-bit content hash, flag) rows — the text never enters it.
+    text, group size, has_content flag). KEYS-ONLY: the keyed tail
+    (``relops._by_key`` on the content hash) moves (id, 128-bit content
+    hash, flag) rows — the text never enters it.
 
-    Per shard the rep and size come from vectorized grouped transforms.
-    Pair with ``representatives`` to derive the unique-text corpus.
-    ``n_shards`` defaults to a DATA-SIZED count (the rows are ~25 B, so
-    groups stay small even with generous shards)."""
+    The rep and size come from vectorized grouped transforms. Pair with
+    ``representatives`` to derive the unique-text corpus."""
     docs = ds.select_columns([id_col, text_col])
 
     def key_batch(t: pa.Table) -> pa.Table:
@@ -785,26 +763,16 @@ def exact_collapse(
         )
 
     # materialize the ~25 B/row KEYED table, not the text corpus: the
-    # count that sizes the shuffle then costs nothing extra, and no
-    # duplicate full-text copy sits in the object store
+    # gate measures it, and no duplicate full-text copy sits in the
+    # object store
     keyed = docs.map_batches(key_batch, batch_format="pyarrow").materialize()
-    if n_shards is None:
-        n_shards = R.data_sized_shards(keyed.count(), target_rows=2_000_000, min_shards=32)
-    shards = n_shards
 
-    def add_shard(t: pa.Table) -> pa.Table:
-        ck1 = t["_ck1"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_shard", pa.array((ck1 % np.uint64(shards)).astype(np.int32), pa.int32())
-        )
-
-    def collapse_shard(g: pd.DataFrame) -> pd.DataFrame:
+    def collapse(g: pd.DataFrame) -> pd.DataFrame:
         grp = g.groupby(["_ck1", "_ck2"])[id_col]
         g = g.assign(rep_id=grp.transform("min"), group_n=grp.transform("size"))
-        return g.drop(columns=["_ck1", "_ck2", "_shard"])
+        return g.drop(columns=["_ck1", "_ck2"])
 
-    sharded = keyed.map_batches(add_shard, batch_format="pyarrow")
-    return sharded.groupby("_shard").map_groups(collapse_shard, batch_format="pandas")
+    return R._by_key(keyed, ["_ck1", "_ck2"], collapse, "pandas")
 
 
 def representatives(
@@ -904,21 +872,16 @@ def _expand_cross_member_pairs(
 
 
 def _expand_intra_member_pairs(
-    tagged: Dataset, id_col: str, n_map: int, extra_cols: list[str], make_values
+    tagged: Dataset, id_col: str, extra_cols: list[str], make_values
 ) -> Dataset | None:
     """Same-group member pairs from a (id, rep_id[, *extra_cols])
-    stream: shard by rep, vectorized self-merge per shard.
-    ``make_values(m)`` maps the merged frame (extra cols unsuffixed,
-    id suffixed _x/_y) to the int64 value columns of the pair output.
-    Returns None when ``tagged`` is empty."""
+    stream: a vectorized self-merge on rep per ``relops._sharded``
+    shard. ``make_values(m)`` maps the merged frame (extra cols
+    unsuffixed, id suffixed _x/_y) to the int64 value columns of the
+    pair output. Returns None when ``tagged`` is empty."""
     tagged = R.compact_blocks(tagged)
     if tagged.count() == 0:
         return None
-    rep_shards = R.data_sized_shards(n_map)
-
-    def shard_by_rep(t: pa.Table) -> pa.Table:
-        s = R.shard_of(t["rep_id"].to_pandas(), rep_shards).to_numpy()
-        return t.append_column("_shard", pa.array(s, pa.int64()))
 
     def intra_pairs(g: pd.DataFrame) -> pd.DataFrame:
         m = g[[id_col, "rep_id", *extra_cols]].merge(
@@ -932,11 +895,7 @@ def _expand_intra_member_pairs(
         out.update(make_values(m))
         return pd.DataFrame(out)
 
-    return (
-        tagged.map_batches(shard_by_rep, batch_format="pyarrow")
-        .groupby("_shard")
-        .map_groups(intra_pairs, batch_format="pandas")
-    )
+    return R._sharded(tagged, ["rep_id"], intra_pairs, "pandas")
 
 
 # collapse engages only when the measured exact-dup rate clears this:
@@ -999,19 +958,12 @@ def _adaptive_mapping(
         if n_docs == 0:
             return None
         n_reps = mapping.map_batches(
-            # schema-less EMPTY shard blocks pass through as 0 rows (the
-            # mapping is deliberately not compacted on this path)
-            lambda t: (
-                t.slice(0, 0)
-                if id_col not in t.column_names
-                else t.filter(pc.equal(t[id_col], t["rep_id"])).select([id_col])
-            ),
+            lambda t: t.filter(pc.equal(t[id_col], t["rep_id"])).select([id_col]),
             batch_format="pyarrow",
         ).count()
         if (n_docs - n_reps) / n_docs < _COLLAPSE_MIN_DUP_RATE:
             return None
-    # compacted only on the ENGAGE path — the skip path never joins
-    return R.compact_blocks(mapping)
+    return mapping
 
 
 def minhash_dedup(
@@ -1148,7 +1100,6 @@ def _ngram_pairs_core(
     n: int = 3,
     threshold_num: int = 1,
     threshold_den: int = 2,
-    n_shards: int | None = None,
 ) -> tuple[Dataset, Dataset]:
     """Inverted-index exact-jaccard core over the given corpus — returns
     (pairs, per-doc distinct-gram sizes). See ``ngram_jaccard_pairs``.
@@ -1157,14 +1108,16 @@ def _ngram_pairs_core(
        per-window into 64-bit gram hashes — all vectorized, the window
        mask keeps grams from crossing document boundaries;
     2. per-block DISTINCT (doc, gram) + per-doc gram counts (combiner);
-    3. gram-shard shuffle; within a shard a pandas self-merge per gram
-       expands co-occurring pairs (sum of df² work — inherent to exact
-       jaccard; oversized gram buckets are LOGGED) and pre-counts them;
-    4. pair-shard shuffle sums partial co-occurrence counts → inter;
+    3. always sharded on the gram (``relops._sharded``): within a shard
+       a pandas self-merge per gram expands co-occurring pairs (sum of
+       df² work — inherent to exact jaccard; oversized gram buckets are
+       LOGGED) and pre-counts them;
+    4. the keyed tail (``relops._by_key``) on the pair sums partial
+       co-occurrence counts → inter;
     5. per-doc set sizes meet the pair stream by broadcast while their
-       estimate (16 B/doc) is within ``relops.SMALL_BYTES``, hash-join
-       above it; the integer
-       filter ``den*inter >= num*(|A|+|B|-inter)`` avoids float compare.
+       materialized bytes fit ``relops.SMALL_BYTES``, hash-join above
+       it; the integer filter ``den*inter >= num*(|A|+|B|-inter)``
+       avoids float compare.
     """
     import ray
 
@@ -1214,21 +1167,11 @@ def _ngram_pairs_core(
         )
 
     grams = ds.map_batches(gram_stream, batch_format="pyarrow").materialize()
-    if n_shards is None:
-        # the materialized gram stream's count is free; each gram/pair
-        # shard group must stay one-worker-sized at any corpus scale
-        n_shards = R.data_sized_shards(grams.count(), min_shards=32)
 
     # per-doc distinct-gram sizes (combiner: one row per doc per block)
-    sizes = R.partial_group_aggregate(grams, [id_col], {"n_grams": ("count", None)})
-
-    def shard_grams(t: pa.Table) -> pa.Table:
-        g = t["g"].to_numpy(zero_copy_only=False)
-        return t.append_column(
-            "_shard", pa.array((g % np.uint64(n_shards)).astype(np.int64))
-        )
-
-    sharded = grams.map_batches(shard_grams, batch_format="pyarrow")
+    sizes = R.partial_group_aggregate(
+        grams, [id_col], {"n_grams": ("count", None)}
+    ).materialize()
 
     def pairs_in_shard(gdf: pd.DataFrame) -> pd.DataFrame:
         from ..functions.loglevels import get_logger
@@ -1249,14 +1192,9 @@ def _ngram_pairs_core(
             .reset_index(name="inter")
         )
         out.columns = ["left_id", "right_id", "inter"]
-        pair_shard = (
-            R.shard_of(out["left_id"], n_shards) * 31 + R.shard_of(out["right_id"], n_shards)
-        ) % n_shards
-        return out.assign(_pshard=pair_shard.astype("int64"))
+        return out
 
-    partial_pairs = sharded.groupby("_shard").map_groups(
-        pairs_in_shard, batch_format="pandas"
-    )
+    partial_pairs = R._sharded(grams, ["g"], pairs_in_shard, "pandas")
 
     def sum_pairs(g: pd.DataFrame) -> pd.DataFrame:
         return (
@@ -1266,10 +1204,9 @@ def _ngram_pairs_core(
             .astype({"inter": "int64"})
         )
 
-    pairs = partial_pairs.groupby("_pshard").map_groups(sum_pairs, batch_format="pandas")
+    pairs = R._by_key(partial_pairs, ["left_id", "right_id"], sum_pairs, "pandas")
 
-    n_docs = ds.count()
-    if n_docs * 16 <= R.SMALL_BYTES:
+    if R._fits(sizes, "ngram_sizes"):
         size_map: dict = {}
         for b in sizes.iter_batches(batch_format="pyarrow"):
             size_map.update(zip(b[id_col].to_pylist(), b["n_grams"].to_pylist()))
@@ -1295,7 +1232,7 @@ def _ngram_pairs_core(
         return pairs.map_batches(finish, batch_format="pyarrow"), sizes
 
     # join path: sizes meet pairs twice by hash partition
-    nparts = R.join_partitions(rows=n_docs)
+    nparts = R.join_partitions(rows=sizes.count())
     pairs = R.compact_blocks(pairs)
     ls = _rename(sizes, {id_col: "left_id", "n_grams": "na"}, [id_col, "n_grams"])
     rs = _rename(sizes, {id_col: "right_id", "n_grams": "nb"}, [id_col, "n_grams"])
@@ -1330,7 +1267,6 @@ def ngram_jaccard_pairs(
     n: int = 3,
     threshold_num: int = 1,
     threshold_den: int = 2,
-    n_shards: int | None = None,
     collapse_exact: bool | str = "auto",
 ) -> Dataset:
     """EXACT word-n-gram Jaccard near-dup pairs (unlike minhash/simhash,
@@ -1367,7 +1303,6 @@ def ngram_jaccard_pairs(
     core_kw = dict(
         id_col=id_col, text_col=text_col, n=n,
         threshold_num=threshold_num, threshold_den=threshold_den,
-        n_shards=n_shards,
     )
     mapping = _adaptive_mapping(
         ds.select_columns([id_col, text_col]), id_col, text_col, collapse_exact
@@ -1406,7 +1341,7 @@ def ngram_jaccard_pairs(
     if multi.count() > 0 and szs.count() > 0:
         ib = multi.join(szs, join_type="inner", num_partitions=nparts, on=("rep_id",))
         same = _expand_intra_member_pairs(
-            ib, id_col, n_map, ["_ng"],
+            ib, id_col, ["_ng"],
             lambda m: {
                 "inter": m["_ng"].astype("int64").to_numpy(),
                 "union_n": m["_ng"].astype("int64").to_numpy(),
@@ -1512,23 +1447,17 @@ def _simhash_core(ds: Dataset, id_col="doc_id", text_col="text", max_hamming=3) 
     planted pairs at the radius boundary).
 
     ONE shuffle: the bands explode into a single (band_key, doc_id,
-    simhash) table — band_key = band_id << width | band_value — grouped
-    once on a coarse shard, instead of per-band groupby shuffles
-    unioned. Popcount is a vectorized 16-bit-LUT sum, and cross-band
-    pair dedup NEEDS NO STAGE AT ALL: each pair is emitted only by its
+    simhash) table — band_key = band_id << width | band_value — always
+    sharded once on band_key (``relops._sharded``: the O(m²) sweep
+    outgrows its input), instead of per-band groupby shuffles unioned.
+    Popcount is a vectorized 16-bit-LUT sum, and cross-band pair dedup
+    NEEDS NO STAGE AT ALL: each pair is emitted only by its
     leftmost shared band (the xor's zero bands are exactly the shared
     bands), so the pair stream is globally unique by construction.
     """
     n_bands, width = simhash_bands(max_hamming)
     shifts = (np.arange(n_bands, dtype=np.uint64) * np.uint64(width))
     mask = np.uint64((1 << width) - 1)
-
-    # coarse grouping sized to the EXPLODED row count (docs × bands) —
-    # each shard group lands in one worker as one pandas frame, so a
-    # fixed count would be the same scale cliff the round-2 verdict
-    # flagged for the asof/window stages. ds.count() on a parquet read
-    # is metadata-only.
-    n_shards = R.data_sized_shards(ds.count() * n_bands, min_shards=32)
 
     def hash_and_explode(t: pa.Table) -> pa.Table:
         hs = simhash_batch(t[text_col].to_pylist())
@@ -1542,7 +1471,6 @@ def _simhash_core(ds: Dataset, id_col="doc_id", text_col="text", max_hamming=3) 
                 id_col: t[id_col].take(idx),
                 "simhash": pa.array(np.repeat(hs, n_bands), pa.uint64()),
                 "band_key": pa.array(band_keys, pa.int64()),
-                "shard": pa.array(band_keys % n_shards, pa.int32()),
             }
         )
 
@@ -1613,9 +1541,7 @@ def _simhash_core(ds: Dataset, id_col="doc_id", text_col="text", max_hamming=3) 
 
     # band ownership above guarantees global pair uniqueness — the pair
     # stream is final as-is
-    return exploded.groupby("shard").map_groups(
-        pairs_in_shard, batch_format="pandas"
-    )
+    return R._sharded(exploded, ["band_key"], pairs_in_shard, "pandas")
 
 
 def simhash_near_dup(
@@ -1666,7 +1592,7 @@ def simhash_near_dup(
         )
     )
     same = _expand_intra_member_pairs(
-        multi, id_col, n_map, [],
+        multi, id_col, [],
         lambda m: {"hamming": np.zeros(len(m), dtype=np.int64)},
     )
     if same is not None:
@@ -1700,7 +1626,9 @@ def embedding_near_dup(
     dim: int | None = None,
 ) -> Dataset:
     """Near-duplicate vector pairs: bucket by sign-pattern of ``n_planes``
-    random hyperplanes, verify cosine ≥ τ within bucket."""
+    random hyperplanes, verify cosine ≥ τ within bucket. Always sharded
+    on the bucket (``relops._sharded``): the pairwise verify outgrows
+    its input."""
     import ray
 
     if dim is None:
@@ -1727,17 +1655,18 @@ def embedding_near_dup(
 
     bucketed = ds.map_batches(bucketize, batch_format="pyarrow")
 
-    def verify(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop_duplicates(id_col).sort_values(id_col)
-        ids = g[id_col].to_numpy()
-        X = np.stack(g["vec"].to_numpy())
-        S = X @ X.T
+    def verify(shard: pd.DataFrame) -> pd.DataFrame:
         left, right, cos = [], [], []
-        for i in range(len(ids)):
-            for j in np.nonzero(S[i, i + 1 :] >= threshold)[0]:
-                left.append(ids[i])
-                right.append(ids[i + 1 + j])
-                cos.append(float(S[i, i + 1 + j]))
+        for _, g in shard.groupby("bucket", sort=False):
+            g = g.drop_duplicates(id_col).sort_values(id_col)
+            ids = g[id_col].to_numpy()
+            X = np.stack(g["vec"].to_numpy())
+            S = X @ X.T
+            for i in range(len(ids)):
+                for j in np.nonzero(S[i, i + 1 :] >= threshold)[0]:
+                    left.append(ids[i])
+                    right.append(ids[i + 1 + j])
+                    cos.append(float(S[i, i + 1 + j]))
         return pd.DataFrame({"left_id": left, "right_id": right, "cosine": cos})
 
-    return bucketed.groupby("bucket").map_groups(verify, batch_format="pandas")
+    return R._sharded(bucketed, ["bucket"], verify, "pandas")

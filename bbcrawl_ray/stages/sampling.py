@@ -411,8 +411,8 @@ def grouped_approx_quantiles(
 ) -> Dataset:
     """Per-key approximate quantiles with KLL sketches as a DISTRIBUTED
     combiner: each batch emits ONE serialized sketch per key it saw, the
-    keyed shuffle moves sketches only (O(k log n) bytes per (block,
-    key)), and the per-key merge + quantile query runs in map_groups.
+    keyed tail (``relops._by_key``) moves sketches only (O(k log n)
+    bytes per (block, key)) and runs the per-key merge + quantile query.
     The exact grouped path must co-locate a key's full value multiset
     (or its distinct-value counts); this path needs O(k) per key — the
     difference at 10^10 rows with heavy keys. Output: one row per key
@@ -438,20 +438,17 @@ def grouped_approx_quantiles(
             }
         )
 
-    def merge_group(g: pd.DataFrame) -> pd.DataFrame:
+    names = [f"p{int(round(q * 100))}_est" for q in qs]
+
+    def estimate(g: pd.DataFrame) -> dict:
         merged = KllSketch(sketch_k)
         for blob in g["sketch"]:
             merged = merged.merge(KllSketch.from_bytes(sketch_k, blob))
-        est = merged.quantiles(list(qs))
-        row = {key: g[key].iloc[0]}
-        for q, e in zip(qs, est):
-            row[f"p{int(round(q * 100))}_est"] = float(e)
-        return pd.DataFrame([row])
+        return {n: float(e) for n, e in zip(names, merged.quantiles(list(qs)))}
 
-    return (
-        ds.map_batches(sketch_batch, batch_format="pyarrow")
-        .groupby(key)
-        .map_groups(merge_group, batch_format="pandas")
+    sketches = ds.map_batches(sketch_batch, batch_format="pyarrow").materialize()
+    return R._by_key(
+        sketches, [key], lambda g: R.rows_per_group(g, key, estimate, names), "pandas"
     )
 
 
@@ -504,7 +501,8 @@ def grouped_approx_distinct(
 ) -> Dataset:
     """Per-key approximate COUNT(DISTINCT col): HLL sketches as a keyed
     combiner — one 2^p-byte sketch per (block, key) enters the keyed
-    shuffle instead of the value stream, merge+estimate in map_groups.
+    tail (``relops._by_key``) instead of the value stream, which runs
+    the merge + estimate.
     Same shape as ``grouped_approx_quantiles``; the exact path must
     co-locate each key's distinct values, this path moves O(2^p) per
     key. Output: one row per key with ``distinct_est`` (float64)."""
@@ -530,16 +528,13 @@ def grouped_approx_distinct(
             }
         )
 
-    def merge_group(g: pd.DataFrame) -> pd.DataFrame:
+    def estimate(g: pd.DataFrame) -> dict:
         merged = HllSketch(p)
         for blob in g["sketch"]:
             merged = merged.merge(HllSketch.from_bytes(p, blob))
-        return pd.DataFrame(
-            [{key: g[key].iloc[0], "distinct_est": float(merged.estimate())}]
-        )
+        return {"distinct_est": float(merged.estimate())}
 
-    return (
-        ds.map_batches(sketch_batch, batch_format="pyarrow")
-        .groupby(key)
-        .map_groups(merge_group, batch_format="pandas")
+    sketches = ds.map_batches(sketch_batch, batch_format="pyarrow").materialize()
+    return R._by_key(
+        sketches, [key], lambda g: R.rows_per_group(g, key, estimate, ["distinct_est"]), "pandas"
     )

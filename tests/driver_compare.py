@@ -11,9 +11,12 @@ Usage: python tests/driver_compare.py [sf_dir] [query ...]
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import duckdb
 import pandas as pd
+
+REPO_ROOT = str(Path(__file__).resolve().parents[1])  # this script's checkout
 
 TABLES = [
     "region", "nation", "customer", "supplier", "part",
@@ -38,7 +41,7 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
     return df
 
 
-def check_driver_window(repo_root: str = "/root/repo", window: int = 50) -> dict:
+def check_driver_window(repo_root: str = REPO_ROOT, window: int = 50) -> dict:
     """Re-verify the driver's 50-row record-window assumption each round
     (ADVICE r4: the QUERIES registry order is arranged around this
     observed, uncontracted behavior — observed in r03 AND r04, where
@@ -83,7 +86,7 @@ def main() -> int:
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  ignore_reinit_error=True, log_to_driver=False)
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, REPO_ROOT)
     import __ray_entry__ as e
 
     qs = e.queries()

@@ -71,13 +71,18 @@ def test_query_matches_oracle(ray_session, sf_dir, name):
 
 
 @pytest.mark.parametrize(
-    "name", ["events_sessions", "events_value_delta", "events_running_total", "events_last_order"]
+    "name",
+    [
+        "events_sessions", "events_value_delta", "events_running_total", "events_last_order",
+        "price_quantiles", "segment_priorities_list", "segment_top_priority",
+        "ngram_jaccard_pairs",
+    ],
 )
-def test_window_query_distributed_matches_oracle(ray_session, sf_dir, monkeypatch, name):
-    """The event windows at this scale take the one-task side of the
-    byte gate; at ``SMALL_BYTES`` = 0 they run their key-shard and
-    time-bucket shuffles (seam merge, carries, offsets), which must
-    match the same oracle."""
+def test_query_distributed_matches_oracle(ray_session, sf_dir, monkeypatch, name):
+    """At this scale these queries take the one-task side of the byte
+    gate; at ``SMALL_BYTES`` = 0 they run their key-shard shuffles (the
+    windows' seam merge, carries and offsets; the keyed tails' shards;
+    the n-gram pair sums), which must match the same oracle."""
     from bbcrawl_ray.pipelines import relops as R
 
     monkeypatch.setattr(R, "SMALL_BYTES", 0)
@@ -372,7 +377,11 @@ def _keyed_op(op):
 
     from bbcrawl_ray.pipelines import relops as R
     from bbcrawl_ray.stages import dedup as D
-    from bbcrawl_ray.stages.sampling import stratified_sample
+    from bbcrawl_ray.stages.sampling import (
+        grouped_approx_distinct,
+        grouped_approx_quantiles,
+        stratified_sample,
+    )
 
     def arrow(ds, fn):
         return ds.map_batches(fn, batch_format="pyarrow")
@@ -415,12 +424,24 @@ def _keyed_op(op):
             ["doc_id", "cluster_id"],
             lambda ds: D.minhash_dedup(arrow(ds, texts), threshold=0.5, cc_driver_gate=None),
         ),
+        "exact_collapse": (
+            ["doc_id", "has_content", "rep_id", "group_n"],
+            lambda ds: D.exact_collapse(arrow(ds, texts)),
+        ),
+        "grouped_approx_quantiles": (
+            ["k", "p50_est", "p90_est"],
+            lambda ds: grouped_approx_quantiles(ds, "k", "v", (0.5, 0.9)),
+        ),
+        "grouped_approx_distinct": (
+            ["k", "distinct_est"], lambda ds: grouped_approx_distinct(ds, "k", "v")
+        ),
     }[op]
 
 
 _KEYED_OPS = [
     "partial_group_aggregate", "distinct", "grouped_topk", "grouped_rank_topk", "exact_dedup",
     "exact_dedup_keep_first", "stratified_sample", "cluster_propagate", "minhash_dedup",
+    "exact_collapse", "grouped_approx_quantiles", "grouped_approx_distinct",
 ]
 
 
