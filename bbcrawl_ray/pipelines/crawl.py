@@ -48,7 +48,7 @@ _canonicalize_cached = lru_cache(maxsize=1 << 20)(canonicalize_url)
 from ..sources.corpus import CorpusConfig
 from ..sources.pagers import expand_seeds_batch
 from ..state.checkpoint import CheckpointManager, config_hash
-from ..state.politeness import budget_frontier
+from ..state.politeness import HostClock, budget_frontier
 from ..state.seen import SeenFilter, SeenSet
 from ..stages.download import Downloader
 from ..stages.fetch import FetchConfig, Fetcher
@@ -184,15 +184,12 @@ class CrawlResult:
     checkpoint_root: str
 
 
-def _fetch_cfg(cfg: CrawlConfig, pages_ref) -> FetchConfig:
+def _fetch_cfg(cfg: CrawlConfig, pages_ref, seen: SeenSet) -> FetchConfig:
     # a delay can be in force either from config or from robots
     # Crawl-delay — both need the GLOBAL clock so spacing holds across
-    # the whole fetch pool, not per actor
-    clock = None
-    if cfg.min_host_delay_s > 0 or cfg.obey_robots:
-        from ..state.politeness import HostClock
-
-        clock = HostClock(num_shards=4)
+    # the whole fetch pool, not per actor; it lives on the leased seen
+    # shards, so it starts no actors
+    polite = cfg.min_host_delay_s > 0 or cfg.obey_robots
     return FetchConfig(
         transport=cfg.transport,
         corpus=cfg.corpus,
@@ -202,7 +199,7 @@ def _fetch_cfg(cfg: CrawlConfig, pages_ref) -> FetchConfig:
         min_host_delay_s=cfg.min_host_delay_s,
         cookies=cfg.cookies,
         debug_dir=f"{cfg.output_root}/debug" if cfg.crawler.debug else "",
-        clock=clock,
+        clock=HostClock(seen.shards) if polite else None,
     )
 
 
@@ -322,9 +319,10 @@ def _next_frontier(
 def run_crawl(cfg: CrawlConfig, resume: bool = False) -> CrawlResult:
     """Execute the crawl; see module docstring for the epoch dataflow.
 
-    The URL-seen set is leased empty (state/seen.py) and handed back
-    when the crawl returns, so a later crawl in the same Ray session
-    reuses its shard actors."""
+    The URL-seen set, which also holds the per-host politeness clocks,
+    is leased empty (state/seen.py) and handed back when the crawl
+    returns, so a later crawl in the same Ray session reuses its shard
+    actors."""
     t_lease = time.perf_counter()
     seen = SeenSet(cfg.seen_shards, cfg.seen_mode)
     try:
@@ -337,7 +335,7 @@ def _run_epochs(cfg: CrawlConfig, resume: bool, seen: SeenSet, lease_s: float) -
     """run_crawl's resume and epoch loop over the leased seen set."""
     ckpt = CheckpointManager(f"{cfg.output_root}/checkpoints")
     pages_ref = ray.put(cfg.pages) if cfg.pages is not None else None
-    fetch_cfg = _fetch_cfg(cfg, pages_ref)
+    fetch_cfg = _fetch_cfg(cfg, pages_ref, seen)
     lineage_base = {"config_hash": config_hash(cfg), "crawler": cfg.crawler.crawler}
     seed_hosts = {host_of(s["blueprint_url"]) for s in cfg.seeds}
 

@@ -27,6 +27,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray.data as rd
 from ray.data import Dataset
 from ray.data.aggregate import Sum
 
@@ -470,17 +471,12 @@ def _sig_est_from_maps(t: pa.Table, sig_ref, min_est: float) -> pa.Table:
     )
 
 
-def _empty_verified(survivors: Dataset) -> Dataset:
-    return survivors.map_batches(
-        lambda t: pa.table(
-            {
-                "left_id": t["left_id"],
-                "right_id": t["right_id"],
-                "jaccard": pa.array([0.0] * t.num_rows, pa.float64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
+def _empty_pairs(id_type: pa.DataType, **value_types: pa.DataType) -> Dataset:
+    """A pair result with no rows but its usual columns and types:
+    (left_id, right_id, *value_types). An empty pair stream out of a
+    shuffle is schema-less blocks, which joins reject."""
+    cols = {"left_id": id_type, "right_id": id_type, **value_types}
+    return rd.from_arrow(pa.schema(list(cols.items())).empty_table())
 
 
 def verify_pairs_distributed(
@@ -529,6 +525,8 @@ def verify_pairs_distributed(
     if sigs is None:
         sigs = docs.map_batches(SignatureStage(id_col, text_col, k), batch_format="pyarrow")
     sigs = sigs.materialize()
+    if n_pairs == 0:
+        return _empty_pairs(_id_type(id_col, sigs, docs), jaccard=pa.float64())
     if broadcast_gates and R._fits(sigs, "verify_signatures"):
         sig_map: dict = {}
         for b in sigs.iter_batches(batch_format="pyarrow"):
@@ -552,7 +550,7 @@ def verify_pairs_distributed(
         )
     n_surv = survivors.count()
     if n_surv == 0:
-        return _empty_verified(survivors)
+        return _empty_pairs(_id_type(id_col, sigs), jaccard=pa.float64())
 
     # tier 2: exact verify on survivors
     sh_ref = None
@@ -640,8 +638,6 @@ def cluster_propagate(
     """
     # dedup edges; materialized because the edge set is consumed every
     # iteration
-    import ray.data as rd
-
     pairs = R.distinct(pairs, ["left_id", "right_id"]).materialize()
     n_pairs = pairs.count()
     if n_pairs == 0:
@@ -707,11 +703,16 @@ def _as_pa_type(schema, col: str) -> pa.DataType:
     return R._as_arrow_type(schema.types[list(schema.names).index(col)])
 
 
-def _id_type(mapping: Dataset, ds: Dataset, id_col: str) -> pa.DataType:
-    """Arrow type of the id column for a collapse expansion: the
-    mapping's, or the input's when an empty corpus left the mapping
-    without a schema (its empty blocks carry no columns)."""
-    return _as_pa_type(mapping.schema() or ds.schema(), id_col)
+def _id_type(id_col: str, *datasets: Dataset) -> pa.DataType:
+    """Arrow type of the id column in the first of ``datasets`` that has
+    a schema (an empty corpus can leave a stage's output with none: its
+    empty blocks carry no columns); int64, the id type of
+    ``cluster_propagate``'s empty result, when none has one."""
+    for d in datasets:
+        schema = d.schema()
+        if schema is not None:
+            return _as_pa_type(schema, id_col)
+    return pa.int64()
 
 
 def _content_key128(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
@@ -1037,9 +1038,7 @@ def minhash_dedup(
     # CC label is <= rep id by construction). Every branch is guarded
     # against emptiness: empty join inputs carry schema-less blocks,
     # and a duplicate-free corpus must return a TYPED empty result.
-    import ray.data as rd
-
-    id_type = _id_type(mapping, ds, id_col)
+    id_type = _id_type(id_col, mapping, ds)
     rep_labels = R.compact_blocks(
         _rename(labels, {"doc_id": "rep_id"}, ["doc_id", "cluster_id"])
     )
@@ -1195,6 +1194,9 @@ def _ngram_pairs_core(
         return out
 
     partial_pairs = R._sharded(grams, ["g"], pairs_in_shard, "pandas")
+    if partial_pairs.count() == 0:  # materialized: the count is free
+        id_type = _id_type(id_col, grams, ds)
+        return _empty_pairs(id_type, inter=pa.int64(), union_n=pa.int64()), sizes
 
     def sum_pairs(g: pd.DataFrame) -> pd.DataFrame:
         return (
@@ -1312,11 +1314,9 @@ def ngram_jaccard_pairs(
     reps = representatives(ds, mapping, id_col, text_col)
     rep_pairs, rep_sizes = _ngram_pairs_core(reps, **core_kw)
 
-    import ray.data as rd
-
     n_map = mapping.count()
     nparts = R.join_partitions(rows=n_map)
-    id_type = _id_type(mapping, ds, id_col)
+    id_type = _id_type(id_col, mapping, ds)
     parts: list[Dataset] = []
 
     cross = _expand_cross_member_pairs(
@@ -1351,16 +1351,7 @@ def ngram_jaccard_pairs(
             parts.append(same)
 
     if not parts:
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "left_id": pa.array([], id_type),
-                    "right_id": pa.array([], id_type),
-                    "inter": pa.array([], pa.int64()),
-                    "union_n": pa.array([], pa.int64()),
-                }
-            )
-        )
+        return _empty_pairs(id_type, inter=pa.int64(), union_n=pa.int64())
     # no trailing compaction: empty schema-less blocks only break JOINS,
     # and the pair stream ends here (consumers scan/collect it)
     return parts[0] if len(parts) == 1 else parts[0].union(parts[1])
@@ -1568,14 +1559,12 @@ def simhash_near_dup(
     if mapping is None:
         return _simhash_core(ds, id_col, text_col, max_hamming)
 
-    import ray.data as rd
-
     reps = representatives(ds, mapping, id_col, text_col)
     rep_pairs = _simhash_core(reps, id_col, text_col, max_hamming)
 
     n_map = mapping.count()
     nparts = R.join_partitions(rows=n_map)
-    id_type = _id_type(mapping, ds, id_col)
+    id_type = _id_type(id_col, mapping, ds)
     parts: list[Dataset] = []
     cross = _expand_cross_member_pairs(
         rep_pairs, mapping, id_col, id_type, ["hamming"], nparts
@@ -1599,15 +1588,7 @@ def simhash_near_dup(
         parts.append(same)
 
     if not parts:
-        return rd.from_arrow(
-            pa.table(
-                {
-                    "left_id": pa.array([], id_type),
-                    "right_id": pa.array([], id_type),
-                    "hamming": pa.array([], pa.int64()),
-                }
-            )
-        )
+        return _empty_pairs(id_type, hamming=pa.int64())
     return parts[0] if len(parts) == 1 else parts[0].union(parts[1])
 
 

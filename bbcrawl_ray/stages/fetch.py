@@ -7,10 +7,10 @@ is implicit in the serial loop. Here fetch runs as
 per-actor state (transport, cookie jar, robots cache) is built ONCE
 in ``__init__`` and amortized across batches. Rate limiting is NOT
 per-actor: one host's frontier rows scatter across the pool, so the
-per-host clock lives in shared ``HostClockShard`` actors
-(state/politeness.py) that every fetcher reserves slots from —
-spacing holds cluster-wide regardless of partitioning (SURVEY.md §4
-shared-state row).
+per-host clock lives on the crawl's leased URL-seen shard actors
+(state/seen.py, routed by ``state.politeness.HostClock``) that every
+fetcher reserves slots from — spacing holds cluster-wide regardless
+of partitioning (SURVEY.md §4 shared-state row).
 
 Redirect policy parity (libhttp/redirect/redirect.go):
 - allow (Log): follow up to 10 redirects, record the chain; >10 → error

@@ -6,17 +6,19 @@ ACROSS the fetch actor pool: frontier rows for one host scatter over
 N actors, so a per-actor clock would hit a host N× faster than
 min_host_delay_s / robots Crawl-delay allows.
 
-Design (the seen-shard pattern, state/seen.py): a small set of
-``HostClockShard`` actors keyed by ``hash(host) % num_shards``. A
-fetcher RESERVES a time slot per (host, delay) before each hit — the
-shard advances its stored ``next_free[host]`` by ``delay`` and
-returns the previous value; the fetcher sleeps until its slot. One
-tiny RPC per fetch, only when a delay is actually in force (delay=0
-short-circuits with no RPC), so the idle-host fast path costs
-nothing. Slots are issued against wall-clock time (``time.time()``),
-which is the only clock comparable across workers/nodes; politeness
-is therefore accurate to cluster clock skew, which is fine for
-crawl-delay semantics.
+Design: the clocks live on the crawl's leased URL-seen shards
+(state/seen.py), keyed by ``crc32(host) % num_shards``; ``HostClock``
+is only the routing client, so a crawl with a delay starts no actors
+of its own and every lease starts with empty clocks. A fetcher
+RESERVES time slots per (host, delay) before its hits — the shard
+advances its stored ``next_free[host]`` by ``n * delay`` and returns
+the previous value; the fetcher sleeps until its slot. One tiny RPC
+per host per batch (stages/fetch.py), only when a delay is actually
+in force (delay=0 short-circuits with no RPC), so the idle-host fast
+path costs nothing. Slots are reckoned in wall-clock time
+(``time.time()``), which is the only clock comparable across
+workers/nodes; politeness is therefore accurate to cluster clock
+skew, which is fine for crawl-delay semantics.
 
 Budgets: each epoch every host gets at most ``per_host_budget``
 fetches, chosen by (priority desc, page_num, url); the rest defer to
@@ -31,12 +33,11 @@ budget × num_blocks rows per host.
 Hot-host skew splitting: hosts whose SELECTED rows exceed
 ``skew_split_threshold`` are salted into ``host#N`` sub-shards so one
 giant host fans out across the fetch pool; rate limiting stays
-correct because the clock shards above are global, not per-actor.
+correct because the clocks above are global, not per-actor.
 """
 
 from __future__ import annotations
 
-import time
 import zlib
 
 import numpy as np
@@ -50,77 +51,27 @@ from ray.data import Dataset
 # cluster-wide per-host rate clocks
 
 
-@ray.remote(num_cpus=0)
-class HostClockShard:
-    """Slot reservation for a shard of the host space.
-
-    num_cpus=0: the actor only does dict lookups; reserving a CPU slot
-    would starve small test clusters (see BASELINE.md scaling notes).
-    """
-
-    def __init__(self):
-        self.next_free: dict[str, float] = {}
-
-    def reserve(self, host: str, delay: float, n: int = 1) -> float:
-        """Reserve ``n`` consecutive slots spaced ``delay`` apart.
-
-        Returns the wall-clock time of the FIRST reserved slot; the
-        caller sleeps until then. Reservations from any number of
-        concurrent fetchers serialize here, so the spacing guarantee
-        is global.
-        """
-        now = time.time()
-        start = max(self.next_free.get(host, 0.0), now)
-        self.next_free[host] = start + n * delay
-        return start
-
-    def release(self, host: str, expected_end: float, unused_s: float) -> bool:
-        """Roll back ``unused_s`` seconds of a reservation whose window
-        ended at ``expected_end`` — compare-and-swap style: succeeds
-        only while next_free still equals that window end (nobody
-        reserved after us), else the abandoned slots stay burned
-        (extra politeness, never a violation). Lets a drifting worker
-        resynchronize without queueing behind its own phantom backlog.
-        """
-        cur = self.next_free.get(host, 0.0)
-        if abs(cur - expected_end) < 1e-6:
-            self.next_free[host] = cur - unused_s
-            return True
-        return False
-
-    def clear(self) -> None:
-        self.next_free.clear()
-
-
 class HostClock:
-    """Client handle set: routes reserve() to hash(host) % num_shards.
+    """Client over a leased seen set's shards (state/seen.py): routes a
+    host's reserve()/release() to ``crc32(host) % len(shards)``.
 
     Serializable into actor-pool constructor args (Ray actor handles
     travel by reference).
     """
 
-    def __init__(self, num_shards: int = 4):
-        self.shards = [HostClockShard.remote() for _ in range(num_shards)]
-        self.n = num_shards
+    def __init__(self, shards: list):
+        self.shards = list(shards)
 
-    def reserve(self, host: str, delay: float, n: int = 1) -> float:
+    def _shard(self, host: str):
         # builtin hash(str) is per-process randomized — crc32 keeps every
         # worker routing one host to the SAME shard
-        shard = self.shards[zlib.crc32(host.encode()) % self.n]
-        return ray.get(shard.reserve.remote(host, delay, n))
+        return self.shards[zlib.crc32(host.encode()) % len(self.shards)]
+
+    def reserve(self, host: str, delay: float, n: int = 1) -> float:
+        return ray.get(self._shard(host).reserve.remote(host, delay, n))
 
     def release(self, host: str, expected_end: float, unused_s: float) -> bool:
-        shard = self.shards[zlib.crc32(host.encode()) % self.n]
-        return ray.get(shard.release.remote(host, expected_end, unused_s))
-
-    def wait_turn(self, host: str, delay: float) -> None:
-        """Reserve one slot and sleep until it arrives (no-op at delay<=0)."""
-        if delay <= 0:
-            return
-        slot = self.reserve(host, delay)
-        now = time.time()
-        if slot > now:
-            time.sleep(slot - now)
+        return ray.get(self._shard(host).release.remote(host, expected_end, unused_s))
 
 
 # ---------------------------------------------------------------------------

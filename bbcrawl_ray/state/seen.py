@@ -20,27 +20,34 @@ False positives drop a URL that was never crawled (bounded, configurable
 via bits_per_key); false negatives are impossible in all modes — the
 parity suite runs exact mode so URL-seen equality vs the reference holds.
 
+The same shards hold the crawl's per-host politeness clocks
+(``reserve``/``release``; ``state.politeness.HostClock`` routes a host
+to ``crc32(host) % N``), so a crawl with a delay or robots starts no
+state actors beyond its seen set.
+
 Lifecycle: the shards outlive the crawl that used them. Each new
 ``SeenShard`` is a worker process that imports Ray, started while the
 crawl's first epoch competes with it for CPU, so a ``SeenSet`` LEASES
 its shards from a free list of idle ones instead: it resets those it
-takes to an empty filter of the requested mode and capacity in ONE RPC
-round, and starts new actors only for the rest, or for all when a
-pooled one has died (``RayActorError``). ``run_crawl`` hands the set
-back (``return_shards``) when it returns; a returned shard is reset at
-once, so an idle one holds no keys. Reuse helps only when more than
-one crawl runs in a Ray session (``__ray_entry__.entry()`` followed by
-its ``crawl_documents`` query, ``bench.py``, a library caller); a process
-that runs one crawl starts its shards as before. The free list is
-lock-guarded and belongs to one Ray session (this process's node id
-and job id): after ``ray.shutdown()``/``ray.init()`` it starts empty, so a
-handle from a dead session is never handed out. Every lease starts
-from an empty filter, so reuse never changes what a crawl outputs.
+takes to an empty filter of the requested mode and capacity, with no
+host clocks, in ONE RPC round, and starts new actors only for the rest,
+or for all when a pooled one has died (``RayActorError``). ``run_crawl``
+hands the set back (``return_shards``) when it returns; a returned
+shard is reset at once, so an idle one holds no keys and no clocks.
+Reuse helps only when more than one crawl runs in a Ray session
+(``__ray_entry__.entry()`` followed by its ``crawl_documents`` query,
+``bench.py``, a library caller); a process that runs one crawl starts
+its shards as before. The free list is lock-guarded and belongs to one
+Ray session (this process's node id and job id): after
+``ray.shutdown()``/``ray.init()`` it starts empty, so a handle from a
+dead session is never handed out. Every lease starts from an empty
+filter and empty clocks, so reuse never changes what a crawl outputs.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 
@@ -175,7 +182,9 @@ _IMPLS = {"exact": _ExactSeen, "bloom": _BloomSeen, "cuckoo": _CuckooSeen}
 
 @ray.remote(num_cpus=0)
 class SeenShard:
-    """One membership shard; calls serialize on the actor → atomic batches.
+    """One membership shard plus the politeness clocks of the hosts
+    routed to it; calls serialize on the actor → atomic batches and
+    atomic slot reservations.
 
     num_cpus=0: lookups are sub-ms lock-style calls; even 0.1-CPU
     reservations measurably distort small clusters (4 shards stole 10%
@@ -185,7 +194,9 @@ class SeenShard:
         self.reset(mode, capacity, **kw)
 
     def reset(self, mode: str = "exact", capacity: int = 1_000_000, **kw) -> None:
-        """Drop every key: an empty filter, as a new shard starts with."""
+        """Drop every key and every host clock: an empty filter, as a new
+        shard starts with."""
+        self.next_free: dict[str, float] = {}
         if mode == "exact":
             self.impl = _ExactSeen()
         elif mode == "bloom":
@@ -200,6 +211,29 @@ class SeenShard:
 
     def size(self) -> int:
         return len(self.impl)
+
+    def reserve(self, host: str, delay: float, n: int = 1) -> float:
+        """Reserve ``n`` consecutive slots for ``host`` spaced ``delay``
+        apart; returns the wall-clock time of the FIRST one. Reservations
+        from any number of concurrent fetchers serialize here, so the
+        spacing guarantee is global."""
+        now = time.time()
+        start = max(self.next_free.get(host, 0.0), now)
+        self.next_free[host] = start + n * delay
+        return start
+
+    def release(self, host: str, expected_end: float, unused_s: float) -> bool:
+        """Roll back ``unused_s`` seconds of a reservation whose window
+        ended at ``expected_end`` — compare-and-swap style: succeeds only
+        while next_free still equals that window end (nobody reserved
+        after us), else the abandoned slots stay burned (extra
+        politeness, never a violation). Lets a drifting worker
+        resynchronize without queueing behind its own phantom backlog."""
+        cur = self.next_free.get(host, 0.0)
+        if abs(cur - expected_end) < 1e-6:
+            self.next_free[host] = cur - unused_s
+            return True
+        return False
 
 
 _LOCK = threading.Lock()

@@ -466,3 +466,55 @@ def test_back_to_back_crawls_reuse_empty_state_actors(ray_session, tmp_root, mon
         assert sum(m["seen_sizes"]) == 8
         assert {"state_lease_s", "frontier_write_s", "parsed_write_s"} <= set(m)
     assert len(leased) == 2 and leased[1] == leased[0]
+
+
+def test_delayed_crawls_keep_clocks_on_leased_seen_shards(ray_session, tmp_root, monkeypatch):
+    """Two back-to-back crawls with a host delay in one Ray session: both
+    lease the same seen shards, each crawl's fetch clock routes to exactly
+    those shards, and no crawl starts an actor class of this package
+    beyond ``SeenShard`` (the second starts none: only its fetch pool and
+    Ray Data's own actors)."""
+    import ray.actor
+
+    from bbcrawl_ray.pipelines import crawl
+    from bbcrawl_ray.state import seen
+
+    leased, clocks, started = [], [], []
+    real_lease, real_fetch_cfg = seen._lease, crawl._fetch_cfg
+    real_remote = ray.actor.ActorClass._remote
+
+    def lease(n, *args):
+        actors = real_lease(n, *args)
+        leased.append([a._actor_id.hex() for a in actors])
+        return actors
+
+    def fetch_cfg(*args):
+        fc = real_fetch_cfg(*args)
+        clocks.append([a._actor_id.hex() for a in fc.clock.shards])
+        return fc
+
+    def remote(self, *args, **kwargs):
+        meta = self.__ray_metadata__
+        if meta.modified_class.__module__.startswith("bbcrawl_ray."):
+            started[-1].append(meta.class_name)
+        return real_remote(self, *args, **kwargs)
+
+    monkeypatch.setattr(seen, "_lease", lease)
+    monkeypatch.setattr(crawl, "_fetch_cfg", fetch_cfg)
+    monkeypatch.setattr(ray.actor.ActorClass, "_remote", remote)
+    cfg = dict(
+        crawler=CrawlerSpec(crawler="src", tags=["img"]),
+        seeds=[SEED],
+        min_host_delay_s=0.001,
+        fetch_mode="actors",
+        fetch_concurrency=(1, 2),
+        fetch_num_cpus=0.5,
+        metrics_level="lite",
+    )
+    for i in range(2):
+        started.append([])
+        res = run({**cfg, "output_root": f"{tmp_root}/run{i}"})
+        assert res.documents.count() == 8
+    assert len(leased) == 2 and leased[1] == leased[0]
+    assert clocks == leased
+    assert set(started[0]) <= {"SeenShard"} and started[1] == []

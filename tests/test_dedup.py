@@ -934,14 +934,14 @@ def test_sniff_media_header_malformed_and_fill_bytes():
     assert sniff_media_header(b"\xff\xd8\xff\xd9" + b"\x00" * 8) == ("jpeg", 0, 0)
 
 
-@pytest.mark.parametrize(
-    "family, cols",
-    [
-        ("minhash_dedup", ["doc_id", "cluster_id"]),
-        ("ngram_jaccard_pairs", ["left_id", "right_id", "inter", "union_n"]),
-        ("simhash_near_dup", ["left_id", "right_id", "hamming"]),
-    ],
-)
+FAMILY_COLS = [
+    ("minhash_dedup", ["doc_id", "cluster_id"]),
+    ("ngram_jaccard_pairs", ["left_id", "right_id", "inter", "union_n"]),
+    ("simhash_near_dup", ["left_id", "right_id", "hamming"]),
+]
+
+
+@pytest.mark.parametrize("family, cols", FAMILY_COLS)
 def test_exact_collapse_empty_corpus_typed(ray_session, family, cols):
     """An empty corpus through the exact-collapse expansion returns an
     empty, schema-typed result: the empty mapping carries no schema, so
@@ -956,3 +956,35 @@ def test_exact_collapse_empty_corpus_typed(ray_session, family, cols):
     assert len(out) == 0
     assert list(out.columns) == cols
     assert str(out[cols[0]].dtype) == "int64"
+
+
+@pytest.mark.parametrize("budget", ["small", "zero"])
+@pytest.mark.parametrize("family, cols", FAMILY_COLS)
+def test_pairless_corpus_typed(ray_session, monkeypatch, family, cols, budget):
+    """Documents that share no word 3-gram and are no near-dups of each
+    other give each family its usual columns and types with no rows,
+    on both sides of the ``SMALL_BYTES`` gate: an empty pair stream out
+    of a shuffle is schema-less, and joins reject it."""
+    from bbcrawl_ray.pipelines import relops as R
+    from bbcrawl_ray.pipelines.relops import to_pandas_schema_safe
+    from bbcrawl_ray.stages import dedup as D
+
+    if budget == "zero":
+        monkeypatch.setattr(R, "SMALL_BYTES", 0)
+    corpus = rd.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+                "text": [
+                    "alpha beta gamma delta",
+                    "one two three four",
+                    "red green blue cyan",
+                    "north south east west",
+                ],
+            }
+        )
+    )
+    out = to_pandas_schema_safe(getattr(D, family)(corpus, collapse_exact=False))
+    assert len(out) == 0
+    assert list(out.columns) == cols
+    assert [str(t) for t in out.dtypes] == ["int64"] * len(cols)

@@ -193,8 +193,10 @@ def test_host_clock_global_spacing(ray_session):
     import ray
 
     from bbcrawl_ray.state.politeness import HostClock
+    from bbcrawl_ray.state.seen import SeenSet
 
-    clock = HostClock(num_shards=2)
+    seen = SeenSet(num_shards=2)
+    clock = HostClock(seen.shards)
 
     @ray.remote(num_cpus=0)
     def reserve_one():
@@ -207,6 +209,7 @@ def test_host_clock_global_spacing(ray_session):
     # (slot time is never in the future, regardless of RPC latency)
     assert clock.reserve("a.example", 5.0) <= time.time()
     assert clock.reserve("b.example", 5.0) <= time.time()
+    seen.return_shards()
 
 
 def test_fetch_batches_clock_reservations(ray_session):
@@ -518,16 +521,16 @@ def test_fetch_resyncs_stale_prereserved_slots(ray_session):
 
 
 def test_host_clock_release_rolls_back_unused_window(ray_session):
-    """HostClockShard.release is compare-and-swap: it rolls the clock
-    back by the unused seconds only while next_free still equals the
-    caller's window end, so a drifting worker resynchronizes without
+    """A seen shard's clock release is compare-and-swap: it rolls the
+    clock back by the unused seconds only while next_free still equals
+    the caller's window end, so a drifting worker resynchronizes without
     queueing behind its own phantom backlog — and never clobbers a
     reservation someone else made after it."""
-    import time as _time
-
     from bbcrawl_ray.state.politeness import HostClock
+    from bbcrawl_ray.state.seen import SeenSet
 
-    clock = HostClock(num_shards=1)
+    seen = SeenSet(num_shards=1)
+    clock = HostClock(seen.shards)
     delay = 1.0
     first = clock.reserve("h.example", delay, 5)
     window_end = first + 5 * delay
@@ -538,6 +541,27 @@ def test_host_clock_release_rolls_back_unused_window(ray_session):
     assert abs(nxt - (first + 2 * delay)) < 0.2
     # a second release against the OLD window end must fail (CAS):
     assert clock.release("h.example", window_end, 1.0) is False
+    seen.return_shards()
+
+
+def test_released_seen_shard_clock_is_empty(ray_session):
+    """A re-leased shard starts with no host clocks: its first
+    reservation is due now, not on the previous lease's schedule."""
+    import time
+
+    from bbcrawl_ray.state.politeness import HostClock
+    from bbcrawl_ray.state.seen import SeenSet
+
+    seen = SeenSet(num_shards=1)
+    first_id = seen.shards[0]._actor_id
+    clock = HostClock(seen.shards)
+    clock.reserve("h.example", 100.0, 5)  # booked 500 s ahead
+    assert clock.reserve("h.example", 100.0) > time.time() + 400
+    seen.return_shards()
+    again = SeenSet(num_shards=1)
+    assert again.shards[0]._actor_id == first_id
+    assert HostClock(again.shards).reserve("h.example", 100.0) <= time.time()
+    again.return_shards()
 
 
 def test_returned_seen_shards_are_reset(ray_session):

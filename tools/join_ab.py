@@ -6,13 +6,9 @@ nation_revenue.
 Modes:
   --profile   run each query once and dump ds.stats() so the cost is
               attributed to stages, not guessed at.
-  --ab        interleave variants back-to-back (A B A B A B) and print
-              per-variant medians — the only comparison shape that is
+  --ab        interleave the two queries back-to-back (A B A B A B) and
+              print per-query medians — the only comparison shape that is
               meaningful on this steal-prone VM (BASELINE.md protocol).
-
-Variants for nation_revenue's big join (lineitem ⋈ orders):
-  engine      the current hash_join (Ray Dataset.join)
-  mapgroups   tagged-union + per-shard pandas merge (shard_join)
 
 Usage: python tools/join_ab.py [--profile|--ab] [sf_dir]
 """
@@ -36,7 +32,7 @@ def main() -> None:
     if not ray.is_initialized():
         ray.init(
             address="local",
-            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0)))),
             include_dashboard=False,
             logging_level="ERROR",
         )

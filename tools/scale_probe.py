@@ -9,7 +9,7 @@ tier and distributed label-propagation CC run — the paths a web-scale
 dup rate exercises. Prints one JSON line with wall times + result
 sanity (every 10-clone set must land in one cluster).
 
-Usage: python tools/scale_probe.py [--out PROBE_rN.json]  [RAY_GRAFT_CPUS=32]
+Usage: python tools/scale_probe.py [--out PROBE_rN.json]  [RAY_GRAFT_CPUS=4]
 
 With ``--out`` the JSON line is ALSO written to the given file — the
 machine-readable cross-round artifact (op, corpus, wall seconds,
@@ -59,7 +59,7 @@ def main() -> None:
     if not ray.is_initialized():
         ray.init(
             address="local",
-            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+            num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", len(os.sched_getaffinity(0)))),
             include_dashboard=False,
             logging_level="ERROR",
         )
