@@ -4,7 +4,7 @@ Engine lifecycle (SURVEY.md §3, "Engine lifecycle"):
 
     seeds ──expand──▶ frontier(epoch 0)
     per epoch:
-        frontier ─groupby(host) budget+skew─▶ selected | deferred   (checkpointed)
+        frontier ─host-keyed budget+skew─▶ selected | deferred   (checkpointed)
         selected ─SeenFilter (sharded actors)─▶ new URLs only
                  ─map_batches(Fetcher actors)─▶ pages
                  ─map_batches(ParsePages)────▶ documents ⊕ manifest ⊕ links
@@ -377,7 +377,7 @@ def _run_epochs(cfg: CrawlConfig, resume: bool, seen: SeenSet, lease_s: float) -
         if epoch == start_epoch:
             # new shards answer once started: that wait is part of leasing
             lease_s += time.perf_counter() - t0
-        # -- budget + skew split (the one host-keyed shuffle), checkpointed;
+        # -- budget + skew split (the one host-keyed exchange), checkpointed;
         # the budgeted path materializes inside budget_frontier, so the
         # timer starts before it
         t_write = time.perf_counter()

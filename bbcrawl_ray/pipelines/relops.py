@@ -17,18 +17,20 @@ Scale posture:
 - top-k prunes locally per block before the global sort-limit.
 
 Transport: every operator here (and the dedup / text queries built on
-them) that can run its tail either as one coalesced task / broadcast or
+them) that can run its tail either as one task / broadcast or
 distributed decides with ``_fits`` against the ONE budget
 ``SMALL_BYTES`` — measured bytes of the materialized input, never a row
 count, so nothing data-proportional lands in one task or on the driver
-as the corpus grows. Every keyed stage outside the time-bucketed
-windows runs one callable that groups by the key itself, either once
-over everything or once per hash shard of the key (``_sharded``: the
-``_shard`` column + ``map_groups``) — never the engine's grouped
-aggregate, whose cost grows steeply with the group count. Stages that
-emit no more rows than they read go through the gate (``_by_key``);
-pair expansions, whose output outgrows their input, are always sharded.
-Joins above the budget use the engine hash join.
+as the corpus grows. Every keyed stage — the keyed tails, the windows,
+sequence packing and the crawl's per-host budget — runs on ONE
+transport, ``_exchange``: plain Ray tasks that split rows by a route
+(a key hash or an integer shard id) into reducers, each running one
+callable that groups by the key itself. The small side is its one-
+reducer case; never the engine's grouped aggregate, sort shuffle or
+hash shuffle, whose fixed costs dwarf it. Stages that emit no more
+rows than they read go through the gate (``_by_key``); pair
+expansions, whose output outgrows their input, are always sharded
+(``_sharded``). Joins above the budget use the engine hash join.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ import ray
 import ray.data as rd
 from ray.data import Dataset
 from ray.data.aggregate import Max, Min
+from ray.data.block import BlockAccessor
 
 _log = logging.getLogger(__name__)
 
@@ -54,9 +57,9 @@ _log = logging.getLogger(__name__)
 
 # The engine's shuffle and hash join carry a fixed cost per invocation
 # whatever their input size (1.2-1.7 s per hash shuffle on 1k rows at 4
-# CPUs), so an input under this budget runs as one coalesced task or
-# ships once as a broadcast instead. Tests force the distributed side by
-# patching it to 0.
+# CPUs), so an input under this budget runs as one task (the exchange's
+# one reducer) or ships once as a broadcast instead. Tests force the
+# distributed side by patching it to 0.
 SMALL_BYTES = 64 << 20
 
 
@@ -71,46 +74,120 @@ def _fits(ds: Dataset | Sequence[Dataset], op: str) -> bool:
     return fits
 
 
-def _coalesced(ds: Dataset, fn: Callable, batch_format: str) -> Dataset:
-    """The small side's tail: ``fn`` runs once, in one task, over the
-    whole input coalesced into a single batch."""
-    return ds.repartition(1).map_batches(fn, batch_format=batch_format, batch_size=None)
+@ray.remote
+def _split(route: Callable, n: int, *blocks) -> list[pa.Table]:
+    """One split task over a run of blocks: one slice per reducer."""
+    parts: list[list[pa.Table]] = [[] for _ in range(n)]
+    for b in blocks:
+        t = BlockAccessor.for_block(b).to_arrow()
+        dest = np.asarray(route(t), np.int64)
+        order = np.argsort(dest, kind="stable")
+        bounds = np.searchsorted(dest[order], np.arange(n + 1))
+        if bounds[0] or bounds[-1] != len(dest):
+            raise ValueError(f"_exchange: a route id falls outside [0, {n})")
+        for j in range(n):
+            parts[j].append(t.take(order[bounds[j] : bounds[j + 1]]))
+    return [pa.concat_tables(p, promote_options="permissive") for p in parts]
+
+
+@ray.remote(num_returns=2)
+def _reduce(fn: Callable, batch_format: str, *parts) -> tuple[pa.Table, int]:
+    """One reducer: ``fn``'s output and its row count, or -1 rows with
+    no call of ``fn`` when the parts hold no row."""
+    tables = [BlockAccessor.for_block(p).to_arrow() for p in parts]
+    nonempty = [x for x in tables if x.num_rows] or tables[:1]
+    t = pa.concat_tables(nonempty, promote_options="permissive")
+    if not t.num_rows:
+        return t, -1
+    out = fn(t if batch_format == "pyarrow" else BlockAccessor.for_block(t).to_pandas())
+    if isinstance(out, pd.DataFrame):
+        # not Ray's pandas conversion, which types every all-null (so
+        # every empty) column as null: a typed empty result stays typed
+        out = pa.Table.from_pandas(out, preserve_index=False)
+    return out, out.num_rows
+
+
+def _exchange(ds: Dataset, route: Callable | None, n: int, fn: Callable, batch_format: str) -> Dataset:
+    """The engine's one keyed transport, in plain Ray tasks: each row
+    of ``ds`` goes to reducer ``route(arrow_table)[row]`` in ``[0, n)``,
+    and one reduce task per reducer runs ``fn`` once over its rows (per
+    ``batch_format``). The output is the reducers' results in reducer
+    order, rows in input order within one, so calls are repeatable.
+
+    ``n`` = 1 is the small side: no split task, one reduce over every
+    non-empty block. Above it, the non-empty blocks form at most 4 ×
+    cluster-CPU contiguous runs, one split task each with
+    ``num_returns=n``: a call holds at most 4 × CPUs × ``n`` slice
+    refs, and a reducer holds its rows and ``fn``'s output in memory.
+
+    Empty contract: a zero-row input comes back as it is and ``fn`` is
+    never called; a reducer with no row does not call ``fn``; empty
+    outputs are dropped unless all are, when the first typed one is
+    kept. Only per-reducer row counts reach the driver.
+
+    On a 4-CPU host over 1k to 4M rows, Ray's sort shuffle plus
+    ``map_groups`` took 2.6-6x as long as this exchange, and its hash
+    shuffle (``repartition(n, keys=)``) 5-11 s whatever the size."""
+    ds = ds.materialize()
+    refs = [ref for b in ds.iter_internal_ref_bundles() for ref, md in b.blocks if md.num_rows]
+    if not refs:
+        return ds
+    fn_ref = ray.put(fn)
+    if n == 1:
+        slices = [refs]
+    else:
+        route_ref = ray.put(route)
+        runs = np.array_split(np.arange(len(refs)), min(len(refs), 4 * _cluster_cpus()))
+        split = _split.options(num_returns=n)
+        outs = [split.remote(route_ref, n, *(refs[i] for i in run)) for run in runs]
+        slices = [[o[j] for o in outs] for j in range(n)]
+    tables, counts = zip(*(_reduce.remote(fn_ref, batch_format, *s) for s in slices))
+    rows = ray.get(list(counts))
+    keep = [t for t, r in zip(tables, rows) if r > 0] or [tables[rows.index(0)]]
+    return rd.from_arrow_refs(keep)
+
+
+def _cluster_cpus() -> int:
+    try:
+        return int(ray.cluster_resources().get("CPU", 0)) or 4
+    except Exception:  # noqa: BLE001 — uninitialised Ray in unit contexts
+        return 4
+
+
+def _key_route(keys: Sequence[str], n: int) -> Callable:
+    """Route rows by the hash of their ``keys`` (``shard_of``)."""
+    return lambda t: shard_of(t.select(list(keys)).to_pandas(), n)
+
+
+def _column_route(col: str, div: int = 1) -> Callable:
+    """Route rows by an integer id column: reducer ``col // div``."""
+    return lambda t: t[col].to_numpy() // div
 
 
 def _by_key(partials: Dataset, keys: Sequence[str], fn: Callable, batch_format: str) -> Dataset:
     """The one keyed tail: ``fn`` must group by ``keys`` itself, so
     running it over any key-closed slice of ``partials`` gives that
     slice's share of the answer. Within ``SMALL_BYTES`` it runs once
-    over everything (``_coalesced``); above it, ``_sharded``. One
-    callable on both sides, so the transport cannot change schema,
-    dtypes, null keys or ties."""
+    over everything (the exchange with ``n`` = 1); above it,
+    ``_sharded``. One callable on both sides, so the transport cannot
+    change schema, dtypes, null keys or ties."""
+    partials = partials.materialize()
     if _fits(partials, fn.__qualname__):
-        return _coalesced(partials, fn, batch_format)
+        return _exchange(partials, None, 1, fn, batch_format)
     return _sharded(partials, keys, fn, batch_format)
 
 
 def _sharded(partials: Dataset, keys: Sequence[str], fn: Callable, batch_format: str) -> Dataset:
-    """The distributed side of the keyed tail: the key columns hash
-    (``shard_of``) into ``data_sized_shards`` shards and ``fn`` (which
-    groups by ``keys`` itself) runs once per shard in ``map_groups``.
-    Stages whose output or CPU grows faster than their input (pair
-    expansion) call it directly: an input-bytes budget bounds neither,
-    and one task would run serially what the shards spread. The empty
-    partitions (zero-column blocks) are dropped."""
-    partials = partials.materialize()  # counted here, then shuffled
-    keys = list(keys)
-    n_shards = data_sized_shards(partials.count())
-
-    def add_shard(b):
-        if batch_format == "pandas":
-            return b.assign(_shard=shard_of(b[keys], n_shards))
-        return b.append_column("_shard", pa.array(shard_of(b.select(keys).to_pandas(), n_shards)))
-
-    def per_shard(g):
-        return fn(g.drop(columns=["_shard"]) if batch_format == "pandas" else g.drop_columns(["_shard"]))
-
-    sharded = partials.map_batches(add_shard, batch_format=batch_format)
-    return compact_blocks(sharded.groupby("_shard").map_groups(per_shard, batch_format=batch_format))
+    """The distributed side of the keyed tail: the exchange routes rows
+    by the hash of ``keys`` to ``data_sized_shards`` reducers, sized
+    from the materialized blocks' row counts, and ``fn`` (which groups
+    by ``keys`` itself) runs once per reducer. Stages whose output or
+    CPU grows faster than their input (pair expansion) call it
+    directly: an input-bytes budget bounds neither, and one task would
+    run serially what the reducers spread."""
+    partials = partials.materialize()
+    n = data_sized_shards(partials.count())  # block metadata, no pass
+    return _exchange(partials, _key_route(keys, n), n, fn, batch_format)
 
 
 def rows_per_group(g: pd.DataFrame, key: str, row: Callable, columns: Sequence[str]) -> pd.DataFrame:
@@ -288,7 +365,7 @@ def topk(
             idx = pc.sort_indices(t, sort_keys=order)
             return t.take(idx[: min(k, t.num_rows)])
 
-        return _coalesced(pruned, global_take, "pyarrow")
+        return _exchange(pruned, None, 1, global_take, "pyarrow")
     return pruned.sort(by, descending=descending).limit(k)
 
 
@@ -514,10 +591,7 @@ def join_partitions(requested: int | None = None, rows: int | None = None) -> in
     few-hundred-row label table gets 2 partitions, not 16."""
     if requested is not None:
         return max(2, requested)
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", 0)) or 4
-    except Exception:  # noqa: BLE001 — uninitialised Ray in unit contexts
-        cpus = 4
+    cpus = _cluster_cpus()
     if rows is not None:
         cap = min(max(2, cpus), max(16, (cpus * 3) // 4))
         return max(2, min(cap, -(-rows // 100_000)))
@@ -605,12 +679,13 @@ def rank_select_quantiles(vals: np.ndarray, cum: np.ndarray, qs: Sequence[float]
 def data_sized_shards(
     total_rows: int, target_rows: int = _SHARD_TARGET_ROWS, min_shards: int = 16
 ) -> int:
-    """Shard count for the key-shard stages (``_sharded`` and the
-    windows), derived from the DATA, not a constant: each shard group
-    materializes as ONE pandas DataFrame in one worker, so a fixed count
-    becomes a worker-OOM cliff at 100× the data (round-2 verdict item
-    #2). No upper cap — shards scale with rows; the floor keeps small
-    inputs spread across a test cluster."""
+    """Reducer count for the exchange's distributed side (``_sharded``,
+    the windows, ``pack_sequences``), derived from the DATA, not a
+    constant: each reducer holds its rows as ONE table or pandas
+    DataFrame in one worker, so a fixed count becomes a worker-OOM
+    cliff at 100× the data (round-2 verdict item #2). No upper cap —
+    reducers scale with rows; the floor keeps small inputs spread
+    across a test cluster."""
     return max(min_shards, -(-int(total_rows) // target_rows))
 
 
@@ -636,16 +711,6 @@ def _agg_minmax(ds: Dataset, col: str) -> tuple[float, float]:
     if not agg:
         return 0.0, 0.0
     return _time_num(agg.get(f"min({col})")), _time_num(agg.get(f"max({col})"))
-
-
-def _time_axis_bounds(
-    left: Dataset, right: Dataset, left_time: str, right_time: str
-) -> tuple[float, float]:
-    """(min, max) over BOTH sides' time axes as float64 ns-epoch.
-    Two tiny engine aggregates."""
-    llo, lhi = _agg_minmax(left, left_time)
-    rlo, rhi = _agg_minmax(right, right_time)
-    return min(llo, rlo), max(lhi, rhi)
 
 
 def _bucket_of(s: pd.Series, t0: float, span: float, n_buckets: int) -> np.ndarray:
@@ -680,9 +745,9 @@ def asof_join(
     ``value_cols`` order (sort is stable on (time, values)).
 
     Canonical composition: tag both sides onto ONE aligned schema,
-    union, one shuffle on a coarse KEY-SHARD (so the grouped stage runs
-    a bounded number of vectorized pandas calls, not one Python call
-    per key), per-shard (key, time)-sort + per-key forward-fill of the
+    union, one exchange on a coarse KEY-SHARD (so the reducers run a
+    bounded number of vectorized pandas calls, not one Python call per
+    key), per-shard (key, time)-sort + per-key forward-fill of the
     right values. Left rows with no prior right row drop (inner
     semantics). ``n_shards`` defaults to ``data_sized_shards`` over the
     summed input row counts, so one shard group stays ≈50-100 MB at any
@@ -697,40 +762,25 @@ def asof_join(
     (time, values) tie-break as the merge — is forward-replicated into
     every later bucket up to the key's next occupied one, so a left row
     whose as-of match lives in an earlier bucket still sees it. Costs
-    one extra combiner-reduced shuffle over the right side; the output
-    is bit-identical to the unbucketed path.
+    one extra combiner-reduced exchange over the right side, routed by
+    key shard; the output is bit-identical to the unbucketed path.
 
     Every exit path — both tag stages and every ``merge`` branch,
     including empty groups — enforces ONE dtype map, so the union and
     the output never emit mixed-schema blocks (round-2 verdict #3).
 
     BYTE-GATED transport (the one gate, ``_fits``): when the two sides'
-    MEASURED combined size is within ``SMALL_BYTES``, the tagged union
-    coalesces into ONE task running the IDENTICAL ``merge`` closure
-    over the whole frame — the per-key sort+ffill is global, so the
-    output is bit-identical while the key-shard groupby shuffle's
-    multi-second fixed cost and the min/max time-axis pass are skipped,
-    whatever ``n_shards`` / ``time_buckets`` say. Above the budget they
-    shape the key-shard and time-bucket shuffles. Both sides are pinned
-    by ``test_window_paths_agree``.
+    MEASURED combined size is within ``SMALL_BYTES``, the exchange has
+    ONE reducer running the IDENTICAL ``merge`` closure over the whole
+    frame — the per-key sort+ffill is global, so the output is
+    bit-identical while the split tasks and the min/max time-axis pass
+    are skipped, whatever ``n_shards`` / ``time_buckets`` say. Above
+    the budget they shape the exchange's (key shard, bucket) reducers.
+    Both sides are pinned by ``test_window_paths_agree``.
     """
-    # materialize BOTH sides before sizing: the size, the counts and
-    # the min/max aggregates would otherwise each re-execute the
-    # upstream, and the tagged union below once more
-    left, right = left.materialize(), right.materialize()
-    small_path = _fits([left, right], "asof_join")
-    if small_path:
-        n_shards, time_buckets = 1, 1
-    elif n_shards is None:
-        n_shards = data_sized_shards(left.count() + right.count())
-    time_buckets = max(1, int(time_buckets))
-    if time_buckets > 1:
-        t0, t1 = _time_axis_bounds(left, right, left_time, right_time)
-        span = t1 - t0
-        if span <= 0:
-            time_buckets = 1
-    else:
-        t0, span = 0.0, 0.0
+    (left, right), n_shards, time_buckets, shard_id = _window_prep(
+        [(left, left_time), (right, right_time)], n_shards, time_buckets
+    )
     value_cols = list(value_cols)
     right_key = right_key or key
     lschema = left.schema()
@@ -799,20 +849,12 @@ def asof_join(
             return pd.Series(np.full(n, np.nan), dtype="float64")
         return pd.Series([None] * n, dtype="object")
 
-    def _combined_shard(keys: pd.Series, times: pd.Series) -> pd.Series:
-        # group id = key_shard × buckets + time_bucket: one groupby
-        # column carries both partitioning axes
-        base = shard_of(keys, n_shards)
-        if time_buckets > 1:
-            return base * time_buckets + _bucket_of(times, t0, span, time_buckets)
-        return base
-
     def tag_left(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
         df[key] = _normalize_key(df[key])
         df["_t"] = df[left_time]
         df["_is_left"] = True
-        df["_shard"] = _combined_shard(df[key], df["_t"])
+        df["_shard"] = shard_id(df[key], df["_t"])
         for c in int_cols:
             _check_float_safe(df[c], c)
             df[c] = df[c].astype("float64")
@@ -824,7 +866,7 @@ def asof_join(
         out = pd.DataFrame(
             {key: _normalize_key(df[right_key]), "_t": df[right_time], "_is_left": False}
         )
-        out["_shard"] = _combined_shard(out[key], out["_t"])
+        out["_shard"] = shard_id(out[key], out["_t"])
         n = len(df)
         for c in left_cols:
             if c == key:
@@ -850,22 +892,20 @@ def asof_join(
         # (time, values) tie-break as the merge's ffill — replicated
         # into every later bucket up to the key's next occupied bucket,
         # so every bucket group sees its as-of predecessor. Per-block
-        # combiner first: the carry shuffle moves ≤ keys × buckets rows
-        # per block, never the right stream.
+        # combiner first: the carry exchange moves ≤ keys × buckets rows
+        # per block, never the right stream. The exchange routes by
+        # key shard (_shard // time_buckets), co-locating ALL buckets of
+        # a key for the expansion.
         rt = rt.materialize()  # consumed by the union AND the carry pass
         dedup_sort = [key, "_shard", "_t", *value_cols]
 
         def last_per_bucket(df: pd.DataFrame) -> pd.DataFrame:
             df = df.sort_values(dedup_sort, kind="mergesort")
-            df = df.drop_duplicates([key, "_shard"], keep="last")
-            # kshard co-locates ALL buckets of a key for the expansion
-            return df.assign(_kshard=(df["_shard"] // time_buckets).astype("int64"))
+            return df.drop_duplicates([key, "_shard"], keep="last")
 
         def expand(g: pd.DataFrame) -> pd.DataFrame:
             g = g.sort_values(dedup_sort, kind="mergesort")
             g = g.drop_duplicates([key, "_shard"], keep="last")
-            if g.empty:
-                return g[wire_cols].iloc[0:0]
             b = (g["_shard"] % time_buckets).to_numpy()
             kb = (g["_shard"] - b).to_numpy()  # kshard × buckets component
             k = g[key].to_numpy()
@@ -887,7 +927,7 @@ def asof_join(
             return out[wire_cols]
 
         pre = rt.map_batches(last_per_bucket, batch_format="pandas")
-        carries = pre.groupby("_kshard").map_groups(expand, batch_format="pandas")
+        carries = _exchange(pre, _column_route("_shard", time_buckets), n_shards, expand, "pandas")
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         # rights sort before lefts at equal time (False < True), so a
@@ -903,14 +943,12 @@ def asof_join(
         # merge branch can emit a block with a divergent schema
         return out[out_schema].astype(final_dtypes)
 
-    if small_path:
-        # one coalesced task, the identical merge over the whole frame —
-        # no carries needed (nothing is bucketed), no shuffle
-        return _coalesced(lt.union(rt), merge, "pandas")
+    # one reducer per (key shard, bucket) id; within the budget that is
+    # one task running the identical merge over the whole frame
     unioned = lt.union(rt)
     if carries is not None:
         unioned = unioned.union(carries)
-    return unioned.groupby("_shard").map_groups(merge, batch_format="pandas")
+    return _exchange(unioned, _column_route("_shard"), n_shards * time_buckets, merge, "pandas")
 
 
 def sessionize(
@@ -929,9 +967,9 @@ def sessionize(
     Everything is INTERVAL-merge over summaries: an event is a trivial
     (start=end=ts, n=1) summary, and the per-key merge chains summaries
     whose start is within ``gap`` of the previous end. With
-    ``time_buckets`` = 1 that is one key-shard shuffle of the events
+    ``time_buckets`` = 1 that is one key-shard exchange of the events
     (the round-3 shape). With ``time_buckets`` > 1 — the
-    single-monster-key path (round-3 verdict #3) — a FIRST grouped pass
+    single-monster-key path (round-3 verdict #3) — a FIRST exchange
     per (key_shard, time_bucket) compresses each bucket's events into
     per-key session summaries, and only the summaries reach the per-key
     merge, which stitches sessions across bucket seams (two summaries
@@ -940,9 +978,7 @@ def sessionize(
     second-pass group is bounded by its SESSION count, not its event
     count — the 100× reduction sessions give on real event streams.
     Outputs are bit-identical across bucket settings."""
-    ds, n_shards, time_buckets, t0, span, small = _window_prep(
-        ds, key, ts, n_shards, time_buckets
-    )
+    (ds,), n_shards, time_buckets, shard_id = _window_prep([(ds, ts)], n_shards, time_buckets)
 
     def merge_sessions(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, "_start", "_end"], kind="mergesort")
@@ -961,32 +997,11 @@ def sessionize(
             out["session_start"] = out["session_start"].astype("datetime64[us]")
         return out[[key, "session_id", "n_events", "session_start"]]
 
-    if time_buckets == 1:
-        def to_summaries(df: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    key: df[key],
-                    "_start": df[ts],
-                    "_end": df[ts],
-                    "_n": np.int64(1),
-                    "_kshard": shard_of(df[key], n_shards),
-                }
-            )
-
-        summaries = ds.map_batches(to_summaries, batch_format="pandas")
-        if small:
-            # byte-gated single-task path (see _window_prep): the merge
-            # groups by key internally, so one global call is identical
-            return _coalesced(summaries, merge_sessions, "pandas")
-        return summaries.groupby("_kshard").map_groups(
-            merge_sessions, batch_format="pandas"
-        )
+    def to_summaries(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({key: df[key], "_start": df[ts], "_end": df[ts], "_n": np.int64(1)})
 
     def add_shard(df: pd.DataFrame) -> pd.DataFrame:
-        b = _bucket_of(df[ts], t0, span, time_buckets)
-        return df.assign(
-            _shard=shard_of(df[key], n_shards).to_numpy() * time_buckets + b
-        )
+        return df.assign(_shard=shard_id(df[key], df[ts]))
 
     def summarize(g: pd.DataFrame) -> pd.DataFrame:
         # one (key_shard, bucket) group: events → per-key session
@@ -1001,61 +1016,50 @@ def sessionize(
             .reset_index()[[key, "_start", "_end", "_n"]]
         )
         out["_n"] = out["_n"].astype("int64")
-        out["_kshard"] = shard_of(out[key], n_shards)
         return out
 
-    summaries = (
-        ds.map_batches(add_shard, batch_format="pandas")
-        .groupby("_shard")
-        .map_groups(summarize, batch_format="pandas")
-    )
-    return summaries.groupby("_kshard").map_groups(
-        merge_sessions, batch_format="pandas"
-    )
+    if time_buckets == 1:
+        summaries = ds.map_batches(to_summaries, batch_format="pandas")
+    else:
+        sharded = ds.map_batches(add_shard, batch_format="pandas")
+        n = n_shards * time_buckets
+        summaries = _exchange(sharded, _column_route("_shard"), n, summarize, "pandas")
+    return _exchange(summaries, _key_route([key], n_shards), n_shards, merge_sessions, "pandas")
 
 
-def _window_prep(
-    ds: Dataset,
-    key: str,
-    ts: str,
-    n_shards: int | None,
-    time_buckets: int,
-):
-    """Shared sizing for the windowed operators: materialize (size,
-    count and min/max would re-execute lineage), measure with ``_fits``,
-    derive shards from data, derive the time-bucket axis. Returns (ds,
-    n_shards, time_buckets, t0, span, small) — ``small`` is True when the
-    input's MEASURED size is within ``SMALL_BYTES``: every windowed
-    operator's per-group pandas function groups by ``key`` internally,
-    so running it once over the whole frame in ONE coalesced task is
-    bit-identical to the key-shard shuffle while skipping the shuffle's
-    multi-second fixed cost and the min/max pass, whatever ``n_shards``
-    / ``time_buckets`` say. Above the budget they shape the key-shard
-    and time-bucket shuffles. Both sides are pinned by
-    ``test_window_paths_agree``."""
-    ds = ds.materialize()
-    if _fits(ds, "window"):
-        return ds, 1, 1, 0.0, 0.0, True
-    if n_shards is None:
-        n_shards = data_sized_shards(ds.count())
-    time_buckets = max(1, int(time_buckets))
+def _window_prep(sides: list, n_shards: int | None, time_buckets: int):
+    """Shared sizing for the windowed operators over ``sides``, a list
+    of (dataset, time column): materialize (size, count and min/max
+    would re-execute lineage), measure with ``_fits``, derive shards
+    from data and the time-bucket axis from both sides' min/max.
+    Returns (materialized datasets, n_shards, time_buckets, shard_id),
+    where ``shard_id(keys, times)`` is each row's reducer id: key shard
+    × time_buckets + time bucket. Within ``SMALL_BYTES`` that is always
+    0 (one reducer, no min/max pass), whatever ``n_shards`` /
+    ``time_buckets`` say: every windowed operator's per-group pandas
+    function groups by the key internally, so one reducer over the
+    whole frame is bit-identical to the key-shard layout. Both sides
+    are pinned by ``test_window_paths_agree``."""
+    sides = [(ds.materialize(), ts) for ds, ts in sides]
+    mats = [ds for ds, _ in sides]
     t0 = span = 0.0
+    if _fits(mats, "window"):
+        n_shards, time_buckets = 1, 1
+    elif n_shards is None:
+        n_shards = data_sized_shards(sum(ds.count() for ds in mats))
+    time_buckets = max(1, int(time_buckets))
     if time_buckets > 1:
-        t0, t1 = _agg_minmax(ds, ts)
-        span = t1 - t0
+        bounds = [_agg_minmax(ds, ts) for ds, ts in sides]
+        t0 = min(lo for lo, _ in bounds)
+        span = max(hi for _, hi in bounds) - t0
         if span <= 0:
             time_buckets = 1
-    return ds, n_shards, time_buckets, t0, span, False
 
+    def shard_id(keys: pd.Series, times: pd.Series) -> np.ndarray:
+        base = shard_of(keys, n_shards).to_numpy()
+        return base * time_buckets + _bucket_of(times, t0, span, time_buckets)
 
-def _apply_per_key_window(sharded: Dataset, fn, small: bool) -> Dataset:
-    """Run a per-key-vectorized group function either as the key-shard
-    grouped shuffle (scale path) or as ONE coalesced task (small path) —
-    ``fn`` must group by the key internally, which makes the two
-    transports bit-identical by construction."""
-    if small:
-        return _coalesced(sharded, fn, "pandas")
-    return sharded.groupby("_shard").map_groups(fn, batch_format="pandas")
+    return mats, n_shards, time_buckets, shard_id
 
 
 def windowed_lag(
@@ -1070,7 +1074,7 @@ def windowed_lag(
 ) -> Dataset:
     """Per-key LAG delta window: each row's ``value_col`` minus the
     previous row's (ordered by ``order_cols`` within ``key``); rows with
-    no predecessor drop (the SQL inner-lag shape). One key-shard shuffle
+    no predecessor drop (the SQL inner-lag shape). One key-shard exchange
     by default. ``time_buckets`` > 1 splits a monster key by time range
     (first ``order_cols`` entry is the time axis): each (key, bucket)'s
     LAST row — lag needs exactly one predecessor — is carried to the
@@ -1079,19 +1083,10 @@ def windowed_lag(
     order_cols = list(order_cols)
     ts = order_cols[0]
     keep_cols = list(keep_cols) if keep_cols is not None else []
-    ds, n_shards, time_buckets, t0, span, small = _window_prep(
-        ds, key, ts, n_shards, time_buckets
-    )
+    (ds,), n_shards, time_buckets, shard_id = _window_prep([(ds, ts)], n_shards, time_buckets)
 
     def add_shard(df: pd.DataFrame) -> pd.DataFrame:
-        base = shard_of(df[key], n_shards)
-        if time_buckets > 1:
-            return df.assign(
-                _shard=base.to_numpy() * time_buckets
-                + _bucket_of(df[ts], t0, span, time_buckets),
-                _carry=False,
-            )
-        return df.assign(_shard=base, _carry=False)
+        return df.assign(_shard=shard_id(df[key], df[ts]), _carry=False)
 
     sharded = ds.map_batches(add_shard, batch_format="pandas")
 
@@ -1101,39 +1096,32 @@ def windowed_lag(
         out = g[~g["_carry"]].dropna(subset=[out_col])
         return out[[key, *keep_cols, out_col]]
 
-    if time_buckets == 1:
-        return _apply_per_key_window(sharded, delta_group, small)
+    if time_buckets > 1:
+        sharded = sharded.materialize()  # union + carry pass both consume it
 
-    sharded = sharded.materialize()  # union + carry pass both consume it
+        def last_per_bucket(df: pd.DataFrame) -> pd.DataFrame:
+            df = df.sort_values([key, "_shard", *order_cols], kind="mergesort")
+            return df.drop_duplicates([key, "_shard"], keep="last")
 
-    def last_per_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values([key, "_shard", *order_cols], kind="mergesort")
-        df = df.drop_duplicates([key, "_shard"], keep="last")
-        return df.assign(_kshard=(df["_shard"] // time_buckets).astype("int64"))
+        def to_next_bucket(g: pd.DataFrame) -> pd.DataFrame:
+            g = last_per_bucket(g)
+            if len(g) < 2:
+                return g.iloc[0:0]
+            k = g[key].to_numpy()
+            keep = k[:-1] == k[1:]  # non-last row of its key
+            out = g.iloc[:-1][keep].copy()
+            out["_shard"] = g["_shard"].to_numpy()[1:][keep]  # next OCCUPIED bucket
+            out["_carry"] = True
+            return out
 
-    def to_next_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        cols = [c for c in g.columns if c != "_kshard"]
-        g = g.sort_values([key, "_shard", *order_cols], kind="mergesort")
-        g = g.drop_duplicates([key, "_shard"], keep="last")
-        if len(g) < 2:
-            return g[cols].iloc[0:0]
-        k = g[key].to_numpy()
-        keep = k[:-1] == k[1:]  # non-last row of its key
-        out = g.iloc[:-1][keep].copy()
-        out["_shard"] = g["_shard"].to_numpy()[1:][keep]  # next OCCUPIED bucket
-        out["_carry"] = True
-        return out[cols]
-
-    carries = (
-        sharded.map_batches(last_per_bucket, batch_format="pandas")
-        .groupby("_kshard")
-        .map_groups(to_next_bucket, batch_format="pandas")
-    )
-    return (
-        sharded.union(carries)
-        .groupby("_shard")
-        .map_groups(delta_group, batch_format="pandas")
-    )
+        # routed by key shard: every bucket of a key meets its next one
+        pre = sharded.map_batches(last_per_bucket, batch_format="pandas")
+        carries = _exchange(
+            pre, _column_route("_shard", time_buckets), n_shards, to_next_bucket, "pandas"
+        )
+        sharded = sharded.union(carries)
+    n = n_shards * time_buckets
+    return _exchange(sharded, _column_route("_shard"), n, delta_group, "pandas")
 
 
 def windowed_running_sum(
@@ -1147,7 +1135,7 @@ def windowed_running_sum(
     time_buckets: int = 1,
 ) -> Dataset:
     """Per-key RUNNING SUM window (rows unbounded preceding → current,
-    ordered by ``order_cols``). One key-shard shuffle by default.
+    ordered by ``order_cols``). One key-shard exchange by default.
     ``time_buckets`` > 1 splits a monster key by time range using the
     ASSOCIATIVITY of sums: each (key, bucket) cumsums locally and emits
     its bucket TOTAL; a tiny per-key pass turns totals into exclusive
@@ -1157,18 +1145,10 @@ def windowed_running_sum(
     order_cols = list(order_cols)
     ts = order_cols[0]
     keep_cols = list(keep_cols) if keep_cols is not None else []
-    ds, n_shards, time_buckets, t0, span, small = _window_prep(
-        ds, key, ts, n_shards, time_buckets
-    )
+    (ds,), n_shards, time_buckets, shard_id = _window_prep([(ds, ts)], n_shards, time_buckets)
 
     def add_shard(df: pd.DataFrame) -> pd.DataFrame:
-        base = shard_of(df[key], n_shards)
-        if time_buckets > 1:
-            return df.assign(
-                _shard=base.to_numpy() * time_buckets
-                + _bucket_of(df[ts], t0, span, time_buckets)
-            )
-        return df.assign(_shard=base)
+        return df.assign(_shard=shard_id(df[key], df[ts]))
 
     sharded = ds.map_batches(add_shard, batch_format="pandas")
     if time_buckets > 1:
@@ -1179,20 +1159,21 @@ def windowed_running_sum(
         g = g.assign(**{out_col: g.groupby(key, sort=False)[value_col].cumsum()})
         return g[[key, *keep_cols, out_col, "_shard"]]
 
+    partial = _exchange(
+        sharded, _column_route("_shard"), n_shards * time_buckets, local_cumsum, "pandas"
+    )
     if time_buckets == 1:
-        partial = _apply_per_key_window(sharded, local_cumsum, small)
         return partial.map_batches(
             lambda df: df.drop(columns=["_shard"]), batch_format="pandas"
         )
-    partial = sharded.groupby("_shard").map_groups(local_cumsum, batch_format="pandas")
 
     # bucket totals are ORDER-FREE sums of the raw values (never a
     # max of the cumsum, which breaks on negative values): per-batch
-    # combiner, then a per-key exclusive prefix over buckets
+    # combiner, then a per-key exclusive prefix over buckets, routed
+    # by key shard
     def bucket_totals(df: pd.DataFrame) -> pd.DataFrame:
         t = df.groupby([key, "_shard"], sort=False)[value_col].sum().reset_index()
-        t = t.rename(columns={value_col: "_total"})
-        return t.assign(_kshard=(t["_shard"] // time_buckets).astype("int64"))
+        return t.rename(columns={value_col: "_total"})
 
     def to_offsets(g: pd.DataFrame) -> pd.DataFrame:
         g = (
@@ -1201,11 +1182,10 @@ def windowed_running_sum(
         excl = g.groupby(key, sort=False)["_total"].cumsum() - g["_total"]
         return g.assign(_offset=excl)[[key, "_shard", "_offset"]]
 
-    offsets = (
-        sharded.map_batches(bucket_totals, batch_format="pandas")
-        .groupby("_kshard")
-        .map_groups(to_offsets, batch_format="pandas")
-    ).materialize()
+    totals = sharded.map_batches(bucket_totals, batch_format="pandas")
+    offsets = _exchange(
+        totals, _column_route("_shard", time_buckets), n_shards, to_offsets, "pandas"
+    )
 
     # every (key, bucket) in the stream exists in offsets by
     # construction — the inner join is total, dtypes survive
@@ -1224,14 +1204,15 @@ def windowed_running_sum(
 
 
 def compact_blocks(ds: Dataset) -> Dataset:
-    """Materialize and drop schema-less EMPTY blocks.
+    """Materialize and drop EMPTY blocks, ahead of an engine join.
 
-    Ray's hash-shuffle operators (groupby/join/map_groups) emit
-    zero-column empty blocks for empty partitions; feeding those into a
-    ``Dataset.join`` fails with "No match for key field reference". Row
-    blocks stay in the object store (refs are reused, nothing lands on
-    the driver). Row counts come from the block metadata, not from a
-    remote count task per block (0.04–1.5 s per call on a 4-CPU host)."""
+    Ray's hash join emits zero-column empty blocks for empty
+    partitions, and feeding those into a further ``Dataset.join`` fails
+    with "No match for key field reference" (the exchange never emits
+    them: it drops empty reducers). Row blocks stay in the object store
+    (refs are reused, nothing lands on the driver). Row counts come
+    from the block metadata, not from a remote count task per block
+    (0.04–1.5 s per call on a 4-CPU host)."""
     mat = ds.materialize()
     rows = [md.num_rows for b in mat.iter_internal_ref_bundles() for _, md in b.blocks]
     keep = [r for r, n in zip(mat.to_arrow_refs(), rows) if n != 0]

@@ -474,7 +474,7 @@ def _sig_est_from_maps(t: pa.Table, sig_ref, min_est: float) -> pa.Table:
 def _empty_pairs(id_type: pa.DataType, **value_types: pa.DataType) -> Dataset:
     """A pair result with no rows but its usual columns and types:
     (left_id, right_id, *value_types). An empty pair stream out of a
-    shuffle is schema-less blocks, which joins reject."""
+    engine join is schema-less blocks, which joins reject."""
     cols = {"left_id": id_type, "right_id": id_type, **value_types}
     return rd.from_arrow(pa.schema(list(cols.items())).empty_table())
 
@@ -880,7 +880,7 @@ def _expand_intra_member_pairs(
     shard. ``make_values(m)`` maps the merged frame (extra cols
     unsuffixed, id suffixed _x/_y) to the int64 value columns of the
     pair output. Returns None when ``tagged`` is empty."""
-    tagged = R.compact_blocks(tagged)
+    tagged = tagged.materialize()
     if tagged.count() == 0:
         return None
 
@@ -1054,23 +1054,21 @@ def minhash_dedup(
                 on=("rep_id",),
             ).select_columns([id_col, "cluster_id"])
         )
-    exact_only = R.compact_blocks(
-        pairs_map.map_batches(
-            lambda t: (
-                lambda f: pa.table(
-                    {
-                        id_col: f[id_col],
-                        "cluster_id": pc.cast(f["rep_id"], id_type),
-                    }
-                )
-            )(
-                t.filter(
-                    pc.and_(pc.greater_equal(t["group_n"], 2), t["has_content"])
-                )
-            ),
-            batch_format="pyarrow",
-        )
-    )
+    exact_only = pairs_map.map_batches(
+        lambda t: (
+            lambda f: pa.table(
+                {
+                    id_col: f[id_col],
+                    "cluster_id": pc.cast(f["rep_id"], id_type),
+                }
+            )
+        )(
+            t.filter(
+                pc.and_(pc.greater_equal(t["group_n"], 2), t["has_content"])
+            )
+        ),
+        batch_format="pyarrow",
+    ).materialize()
     if exact_only.count() > 0:
         parts.append(exact_only)
     if not parts:
@@ -1572,13 +1570,9 @@ def simhash_near_dup(
     if cross is not None:
         parts.append(cross)
 
-    multi = R.compact_blocks(
-        mapping.map_batches(
-            lambda t: t.filter(pc.greater_equal(t["group_n"], 2)).select(
-                [id_col, "rep_id"]
-            ),
-            batch_format="pyarrow",
-        )
+    multi = mapping.map_batches(
+        lambda t: t.filter(pc.greater_equal(t["group_n"], 2)).select([id_col, "rep_id"]),
+        batch_format="pyarrow",
     )
     same = _expand_intra_member_pairs(
         multi, id_col, [],

@@ -117,7 +117,8 @@ class HllSketch:
         np.maximum.at(self.registers, idx, bl)
 
     def merge(self, other: "HllSketch") -> "HllSketch":
-        assert self.p == other.p
+        if self.p != other.p:
+            raise ValueError(f"HllSketch.merge: precision {self.p} != {other.p}")
         return HllSketch(self.p, np.maximum(self.registers, other.registers))
 
     def estimate(self) -> float:
@@ -219,7 +220,8 @@ class CountMinSketch:
         )
 
     def merge(self, other: "CountMinSketch") -> "CountMinSketch":
-        assert self.w == other.w and self.d == other.d
+        if (self.w, self.d) != (other.w, other.d):
+            raise ValueError(f"CountMinSketch.merge: {self.d}x{self.w} != {other.d}x{other.w}")
         return CountMinSketch(self.w, self.d, self.counts + other.counts)
 
     def to_bytes(self) -> bytes:
@@ -324,7 +326,8 @@ class KllSketch:
             self._compress()
 
     def merge(self, other: "KllSketch") -> "KllSketch":
-        assert self.k == other.k
+        if self.k != other.k:
+            raise ValueError(f"KllSketch.merge: k {self.k} != {other.k}")
         n = max(len(self.levels), len(other.levels))
         levels = []
         for i in range(n):
@@ -386,19 +389,19 @@ def approx_quantiles(
     (map_batches), merged in a tiny driver reduce. Only k-size sketches
     move — the value stream never leaves its block. At any corpus size
     the driver holds O(batches × k) floats transiently and O(k) after
-    the fold."""
+    the fold. KLL compaction depends on merge order, so the sketches
+    merge in byte order: the same blocks give the same estimate."""
 
     def sketch_batch(t: pa.Table) -> pa.Table:
         sk = KllSketch(k)
         sk.add(t[col].to_numpy(zero_copy_only=False).astype(np.float64))
         return pa.table({"sketch": pa.array([sk.to_bytes()], pa.large_binary())})
 
+    sketches = ds.map_batches(sketch_batch, batch_format="pyarrow")
+    blobs = [s for b in sketches.iter_batches(batch_format="pyarrow") for s in b["sketch"].to_pylist()]
     merged = KllSketch(k)
-    for b in ds.map_batches(sketch_batch, batch_format="pyarrow").iter_batches(
-        batch_format="pyarrow"
-    ):
-        for blob in b["sketch"].to_pylist():
-            merged = merged.merge(KllSketch.from_bytes(k, blob))
+    for blob in sorted(blobs):
+        merged = merged.merge(KllSketch.from_bytes(k, blob))
     return merged.quantiles(qs)
 
 
@@ -441,8 +444,9 @@ def grouped_approx_quantiles(
     names = [f"p{int(round(q * 100))}_est" for q in qs]
 
     def estimate(g: pd.DataFrame) -> dict:
+        # byte order, not arrival order: KLL compaction depends on it
         merged = KllSketch(sketch_k)
-        for blob in g["sketch"]:
+        for blob in sorted(g["sketch"]):
             merged = merged.merge(KllSketch.from_bytes(sketch_k, blob))
         return {n: float(e) for n, e in zip(names, merged.quantiles(list(qs)))}
 

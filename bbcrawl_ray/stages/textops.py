@@ -312,9 +312,10 @@ def repetition_signals_batch(
 # sequence packing — the LM-pretraining "last mile": tokenized docs
 # concatenate into fixed-length training sequences. Packing is GLOBAL
 # state in the naive formulation (a sequence may span docs), so the
-# distributed form packs within hash shards: deterministic, carry-free,
-# and each shard's single partial tail is the only loss (bounded by
-# shards × (seq_len-1) tokens corpus-wide).
+# distributed form packs within hash shards — one exchange reducer per
+# shard id, so each reducer holds exactly one shard: deterministic,
+# carry-free, and each shard's single partial tail is the only loss
+# (bounded by shards × (seq_len-1) tokens corpus-wide).
 
 
 def pack_sequences(
@@ -329,15 +330,16 @@ def pack_sequences(
 
     Tokens hash to ids in a 2^vocab_bits space (a stand-in for a real
     BPE vocab — the engine's job is the dataflow, not the tokenizer).
-    Docs route to ``n_shards`` hash shards (data-sized by default);
-    each shard sorts its docs by id (deterministic concatenation
-    order), concatenates the id stream, and reshapes to (k, seq_len) —
+    Docs route to ``n_shards`` hash shards (data-sized by default), one
+    ``relops._exchange`` reducer per shard id; each shard sorts its docs
+    by id (deterministic concatenation order), concatenates the id
+    stream, and reshapes to (k, seq_len) —
     pure numpy, no per-token Python. Output rows:
     (shard:int32, seq_index:int64, token_ids:list<int32>[seq_len],
     n_docs_touched:int64). Every row carries EXACTLY seq_len ids; per
     shard only the final partial tail is dropped."""
     from ..functions.urlfns import hash64_batch_fast
-    from ..pipelines.relops import data_sized_shards
+    from ..pipelines.relops import _column_route, _exchange, data_sized_shards
 
     if n_shards is None:
         n_shards = data_sized_shards(ds.count(), target_rows=500_000, min_shards=8)
@@ -377,18 +379,14 @@ def pack_sequences(
     def pack_shard(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(id_col, kind="mergesort")
         lens = np.array([len(x) for x in g["ids"]], np.int64)
-        stream = (
-            np.concatenate([np.asarray(x, np.int32) for x in g["ids"]])
-            if len(g)
-            else np.empty(0, np.int32)
-        )
+        stream = np.concatenate([np.asarray(x, np.int32) for x in g["ids"]])
         k = len(stream) // seq_len
-        shard_id = int(g["_shard"].iloc[0]) if len(g) else 0
+        shard_id = int(g["_shard"].iloc[0])
         # per-sequence provenance: docs whose token span overlaps the
         # sequence's [j·L, (j+1)·L) slice of the shard stream — NOT the
         # shard's total doc count (tail-only docs don't touch any row)
-        doc_starts = np.concatenate([[0], np.cumsum(lens)[:-1]]) if len(g) else np.empty(0)
-        doc_ends = np.cumsum(lens) if len(g) else np.empty(0)
+        doc_ends = np.cumsum(lens)
+        doc_starts = doc_ends - lens
         j = np.arange(k, dtype=np.int64)
         touched = np.searchsorted(doc_starts, (j + 1) * seq_len, side="left") - np.searchsorted(
             doc_ends, j * seq_len, side="right"
@@ -410,4 +408,4 @@ def pack_sequences(
     keyed = ds.select_columns([id_col, col]).map_batches(
         tok_ids, batch_format="pyarrow"
     )
-    return keyed.groupby("_shard").map_groups(pack_shard, batch_format="pandas")
+    return _exchange(keyed, _column_route("_shard"), shards, pack_shard, "pandas")

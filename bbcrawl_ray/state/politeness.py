@@ -26,8 +26,8 @@ the next epoch. The grouped per-host choice is preceded by a
 PER-BLOCK top-(budget) prune — global top-k per host is a subset of
 the union of per-block top-k (the order is total), so rows outside a
 block's local top-k can be marked deferred immediately and never
-enter the shuffle. No host ever materializes as one
-all-of-its-rows pandas group; the grouped stage sees at most
+enter the exchange. No host ever materializes as one
+all-of-its-rows pandas group; the per-host choice sees at most
 budget × num_blocks rows per host.
 
 Hot-host skew splitting: hosts whose SELECTED rows exceed
@@ -96,12 +96,15 @@ def budget_frontier(
     then url (total, deterministic).
 
     Fast path: with no budget there is nothing to rank, so the
-    host-keyed shuffle is skipped entirely — a vectorized map adds
+    host-keyed exchange is skipped entirely — a vectorized map adds
     selected=True / host_shard=host.
 
     Budgeted path: per-block top-(budget) prune per host first (rows
     outside their block's local top-k defer immediately, skew-safely),
-    then the host-keyed grouped choice over candidates only. NOTE:
+    then the keyed tail (``relops._by_key`` on ``host``: one task within
+    ``SMALL_BYTES``, reducers by ``shard_of(host)`` above it) over
+    candidates only; each reducer runs the per-host choice once per
+    host it holds. NOTE:
     ``frontier`` is consumed twice (candidates + early-deferred
     branches); callers pass either a cheap seed expansion or a
     checkpointed parquet read, both re-executable for free.
@@ -114,6 +117,8 @@ def budget_frontier(
             ).append_column("host_shard", t["host"])
 
         return frontier.map_batches(mark_all, batch_format="pyarrow")
+
+    from ..pipelines.relops import _by_key
 
     budget = int(per_host_budget)
 
@@ -145,7 +150,7 @@ def budget_frontier(
         selected = np.zeros(n, dtype=bool)
         selected[:k] = True
         g = g.assign(selected=selected)
-        host = g["host"].iloc[0] if n else ""
+        host = g["host"].iloc[0]
         # salt only the WINNERS: deferred rows never fetch this epoch, so
         # they keep the plain host key (matches the early-deferred branch)
         shard_col = np.full(n, host, dtype=object)
@@ -155,8 +160,11 @@ def budget_frontier(
         g = g.assign(host_shard=shard_col)
         return g
 
+    def per_reducer(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat([per_host(g) for _, g in df.groupby("host", sort=False)])
+
     candidates = marked.map_batches(
         lambda df: df[df["cand"]], batch_format="pandas"
     )
-    chosen = candidates.groupby("host").map_groups(per_host, batch_format="pandas")
+    chosen = _by_key(candidates, ["host"], per_reducer, "pandas")
     return chosen.union(deferred)

@@ -475,6 +475,97 @@ def test_keyed_tail_paths_agree(ray_session, monkeypatch, op, n):
         assert small["n"].sum() == n
 
 
+def _exchange_blocks(n_blocks: int, rows: int):
+    """``n_blocks`` Arrow blocks of ``rows`` rows: ``x`` counts rows in
+    input order, ``r`` = x % 4 is the route column."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    return rd.from_arrow(
+        [
+            pa.table({"x": pa.array(range(b * rows, (b + 1) * rows), pa.int64())}).append_column(
+                "r", pa.array([i % 4 for i in range(b * rows, (b + 1) * rows)], pa.int64())
+            )
+            for b in range(n_blocks)
+        ]
+    )
+
+
+def _exchange_case(case, monkeypatch):
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import ray
+
+    from bbcrawl_ray.pipelines import relops as R
+
+    route = R._column_route("r")
+    if case == "one_route_value_per_reducer":
+        def per_reducer(t):
+            return pa.table({"values": [pc.count_distinct(t["r"]).as_py()], "rows": [t.num_rows]})
+
+        out = R._exchange(_exchange_blocks(8, 50), route, 4, per_reducer, "pyarrow").to_pandas()
+        assert out["values"].tolist() == [1, 1, 1, 1] and out["rows"].sum() == 400
+    elif case == "zero_rows_skip_fn":
+        empty = _exchange_blocks(1, 0)
+
+        def never(t):
+            raise AssertionError("fn called on a zero-row input")
+
+        for n in (1, 4):
+            out = R._exchange(empty, route, n, never, "pyarrow")
+            assert out.count() == 0 and out.schema().names == ["x", "r"]
+    elif case == "typed_empty_output":
+        out = R._exchange(_exchange_blocks(4, 10), route, 4, lambda df: df.iloc[0:0], "pandas")
+        assert out.count() == 0 and out.schema().names == ["x", "r"]
+    elif case == "split_tasks_bounded":
+        calls = []
+        split = R._split
+
+        class Spy:
+            def options(self, **kw):
+                opt = split.options(**kw)
+
+                class Counted:
+                    def remote(self, *args):
+                        calls.append(len(args) - 2)  # blocks in this run
+                        return opt.remote(*args)
+
+                return Counted()
+
+        monkeypatch.setattr(R, "_split", Spy())
+        out = R._exchange(_exchange_blocks(200, 1), route, 4, lambda t: t, "pyarrow")
+        assert out.count() == 200 and sum(calls) == 200
+        assert len(calls) <= 4 * int(ray.cluster_resources()["CPU"])
+    elif case == "stable_output_order":
+        runs = [
+            R._exchange(_exchange_blocks(8, 50), route, 4, lambda df: df, "pandas").to_pandas()
+            for _ in range(2)
+        ]
+        assert runs[0].equals(runs[1])
+        # reducer order, then input order within a reducer
+        assert runs[0].sort_values(["r", "x"]).reset_index(drop=True).equals(runs[0])
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "one_route_value_per_reducer",
+        "zero_rows_skip_fn",
+        "typed_empty_output",
+        "split_tasks_bounded",
+        "stable_output_order",
+    ],
+)
+def test_exchange_contract(ray_session, monkeypatch, case):
+    """``relops._exchange``, the engine's one keyed transport: column
+    routing puts exactly one route value in each reducer; a zero-row
+    input comes back without calling ``fn``; a non-empty input whose
+    ``fn`` returns nothing gives a typed empty result; more blocks than
+    the bound start at most 4 × CPUs split tasks; two calls give the
+    same output order."""
+    _exchange_case(case, monkeypatch)
+
+
 def test_auto_semi_join_null_keys_agree(ray_session, monkeypatch):
     """Null keys behave identically on both transports (ADVICE r4): a
     null RIGHT key is dropped from the key set; a null LEFT key never

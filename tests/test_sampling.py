@@ -2,6 +2,7 @@
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 import ray.data as rd
 
@@ -225,3 +226,48 @@ def test_grouped_approx_distinct_error(ray_session, sf_dir):
     out = q_grouped_approx_distinct(sf_dir)
     assert len(out) >= 2
     assert (out["rel_err"] < 0.05).all(), out
+
+
+def test_kll_merges_ignore_block_order(ray_session):
+    """KLL compaction depends on merge order, so both KLL entries merge
+    a key's sketches in byte order: the same blocks in reverse order
+    give the same estimates."""
+    from bbcrawl_ray.stages.sampling import approx_quantiles, grouped_approx_quantiles
+
+    rng = np.random.default_rng(11)
+    blocks = [
+        pa.table(
+            {
+                "k": pa.array(["a", "b"] * 1500),
+                "v": pa.array(rng.lognormal(3 + i / 4, 1, 3000)),
+            }
+        )
+        for i in range(8)
+    ]
+    runs = []
+    for order in (blocks, blocks[::-1]):
+        est = grouped_approx_quantiles(rd.from_arrow(order), "k", "v", qs=(0.5, 0.9), sketch_k=32)
+        est = est.to_pandas().sort_values("k").reset_index(drop=True)
+        runs.append((est, approx_quantiles(rd.from_arrow(order), "v", [0.5, 0.9], k=32)))
+    (g1, q1), (g2, q2) = runs
+    assert g1[["p50_est", "p90_est"]].equals(g2[["p50_est", "p90_est"]])
+    assert (q1 == q2).all()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda S: (S.HllSketch(10), S.HllSketch(12)),
+        lambda S: (S.CountMinSketch(512, 3), S.CountMinSketch(512, 4)),
+        lambda S: (S.KllSketch(100), S.KllSketch(200)),
+    ],
+    ids=["hll", "count_min", "kll"],
+)
+def test_sketch_merge_rejects_mismatched_parameters(make):
+    """Merging sketches of different parameters raises ``ValueError`` —
+    a hard limit that ``python -O`` cannot strip, as it strips asserts."""
+    from bbcrawl_ray.stages import sampling
+
+    a, b = make(sampling)
+    with pytest.raises(ValueError):
+        a.merge(b)
