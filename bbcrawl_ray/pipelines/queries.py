@@ -223,8 +223,8 @@ def q_customers_no_big_orders(sf_dir: str) -> Dataset:
     engine's ``-exclude`` semantics — SURVEY.md §2.7 set ops). The
     excluded key set scales with customers, so its MEASURED size picks
     the transport: broadcast ``is_in`` filter under the gate, the
-    engine's left_anti hash join above it — never an ungated driver
-    key-set collect."""
+    exchange's left_anti ``hash_join`` above it — never an ungated
+    driver key-set collect."""
     big = R.read_table(
         sf_dir,
         "orders",
@@ -360,7 +360,8 @@ def q_shipdate_range(sf_dir: str) -> Dataset:
 
 def q_order_lineitem_join(sf_dir: str) -> Dataset:
     """Both-sides-large hash join (lineitem ⋈ orders on orderkey, both
-    shuffled on the key) + grouped aggregate by order priority."""
+    routed by the key through the exchange) + grouped aggregate by
+    order priority."""
     li = R.read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice"])
 
     def prep(t: pa.Table) -> pa.Table:
@@ -609,7 +610,7 @@ def q_customer_order_counts(sf_dir: str) -> Dataset:
     to one count row per custkey (combiner) BEFORE the join, so the
     outer-join transport moves counts, never order rows; the join is
     byte-gated (``auto_join`` left_outer: broadcast left-merge under the
-    gate, the engine's left_outer hash join above it — the count side
+    gate, the left_outer ``hash_join`` above it — the count side
     scales with customers, so the MEASURED size decides), and missing
     counts coalesce to 0."""
     orders = R.read_table(sf_dir, "orders", columns=["o_custkey"])
@@ -635,7 +636,7 @@ def q_customer_order_counts(sf_dir: str) -> Dataset:
 def q_user_activity_full_outer(sf_dir: str) -> Dataset:
     """FULL OUTER join of two pre-aggregated streams (event counts per
     user vs big-order counts per customer): rows survive from either
-    side, the engine coalesces the key into the left column, missing
+    side, Arrow's join coalesces the key into the left column, missing
     counts become 0."""
     ev = R.read_table(sf_dir, "events", columns=["user_id"])
     nev = R.partial_group_aggregate(ev, ["user_id"], {"n_events": ("count", None)})
@@ -734,8 +735,8 @@ def q_nation_year_revenue(sf_dir: str) -> Dataset:
     orders = R.read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice", "o_orderdate"])
     # nation IS a dimension table (25 rows, constant) — broadcast it onto
     # the fact-sized customer stream; the customer→orders meet then goes
-    # through the byte-gated transport (broadcast under the gate, engine
-    # hash join above — round-3 verdict: never an ungated customer
+    # through the byte-gated transport (broadcast under the gate,
+    # ``hash_join`` above — round-3 verdict: never an ungated customer
     # broadcast)
     nation = R.read_table(sf_dir, "nation", columns=["n_nationkey", "n_name"]).to_pandas()
     cust = R.read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
@@ -761,8 +762,8 @@ def q_nation_year_revenue(sf_dir: str) -> Dataset:
 
 def q_parts_both_bands(sf_dir: str) -> Dataset:
     """Multi-key INTERSECT: distinct (brand, type) pairs appearing among
-    both small and large parts — two distinct streams meeting in the
-    engine's left_semi hash join."""
+    both small and large parts — two distinct streams meeting in a
+    left_semi ``hash_join``."""
     part = R.read_table(sf_dir, "part", columns=["p_brand", "p_type", "p_size"])
     cols = ["p_brand", "p_type"]
     small = R.distinct(R.filter_arrow(part, lambda t: pc.less(t["p_size"], 15)), cols)
@@ -772,7 +773,7 @@ def q_parts_both_bands(sf_dir: str) -> Dataset:
 
 def q_priorities_only_1996(sf_dir: str) -> Dataset:
     """Multi-key EXCEPT: (custkey, priority) pairs used in 1996 orders
-    and never outside 1996 — the engine's left_anti hash join over two
+    and never outside 1996 — a left_anti ``hash_join`` over two
     distinct streams (completing the set-op family: union / intersect /
     except). The pair space scales with the data, so the result stays
     non-degenerate at every scale (a part-attribute pair space
@@ -896,8 +897,8 @@ def q_nation_revenue(sf_dir: str) -> Dataset:
     # customer is NOT a dimension table at corpus scale: filter it to
     # ASIA nations (constant-size value set, no shuffle), then let the
     # MEASURED size of the filtered side pick the join transport —
-    # broadcast under the absolute byte gate (skipping the engine
-    # join's multi-second aggregator cost), both-sides hash join above
+    # broadcast under the absolute byte gate (the orders side never
+    # moves), both-sides ``hash_join`` exchange above
     asia_keys = pa.array(asia["n_nationkey"].tolist())
     cust = R.read_table(sf_dir, "customer", columns=["c_custkey", "c_nationkey"])
     cust_asia = R.filter_arrow(
@@ -927,8 +928,8 @@ def q_nation_revenue(sf_dir: str) -> Dataset:
         )
 
     # orders_n (1996 ASIA orders) scales with the corpus too: byte-gated —
-    # at bench scale it broadcasts (skipping the engine join's
-    # multi-second fixed aggregator cost), at 100× it hash-shuffles
+    # at bench scale it broadcasts (the lineitem side never moves), at
+    # 100× both sides go through the ``hash_join`` exchange
     joined = R.auto_join(
         li.map_batches(prep, batch_format="pyarrow"),
         orders_n,

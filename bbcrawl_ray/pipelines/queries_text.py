@@ -92,7 +92,7 @@ def q_doc_token_freq(sf_dir: str) -> Dataset:
     (random strings) makes it data-proportional. Within
     ``relops.SMALL_BYTES`` the measured vocab ships once (ray.put) and
     docs stream through a dictionary-encode + merge per batch; above it
-    the per-(doc, token) counts meet the vocab in the engine's hash join
+    the per-(doc, token) counts meet the vocab in ``relops.hash_join``
     and per-doc sums re-aggregate — nothing data-proportional ever lands
     on the driver on either path."""
     import ray as _ray
@@ -139,9 +139,10 @@ def q_doc_token_freq(sf_dir: str) -> Dataset:
         return ds.map_batches(score, batch_format="pyarrow")
 
     # join path: per-(doc, token) local counts ⋈ vocab on token (both
-    # sides hash-shuffle), weighted per-doc re-aggregation, then a
-    # left_outer join back to the doc ids so zero-token docs keep their
-    # (0, NaN) row exactly like the broadcast path / SQL oracle
+    # sides exchange on the token hash), weighted per-doc
+    # re-aggregation, then a left_outer join back to the doc ids so
+    # zero-token docs keep their (0, NaN) row exactly like the
+    # broadcast path / SQL oracle
     def doc_token_counts(t: pa.Table) -> pa.Table:
         flat, parent, keep = T.flat_tokens(t["text"])
         toks = flat.filter(pa.array(keep))
@@ -270,7 +271,7 @@ def q_dedup_keep_first(sf_dir: str) -> Dataset:
 def q_minhash_clusters_distributed(sf_dir: str) -> Dataset:
     """``minhash_clusters`` with every broadcast/driver gate FORCED off
     (rows-only): signature prefilter and exact verify run as
-    hash-partitioned joins, connected components as min-label
+    ``relops.hash_join`` exchanges, connected components as min-label
     propagation — the exact 100-TB scale path, exercised by the driver
     instead of only pytest. Must produce the same clusters as the gated
     variant (parity-pinned in tests/test_dedup.py). Returns the
@@ -526,7 +527,7 @@ def q_filtered_knn(sf_dir: str) -> pd.DataFrame:
     the corpus) keep their embeddings via a left_semi hash join, and
     exact top-5 cosine neighbors run among the SURVIVORS only, for the
     5 smallest surviving vec_ids. Three operators compose — quality
-    scoring, engine semi-join, broadcast brute kNN — with nothing
+    scoring, exchange semi-join, broadcast brute kNN — with nothing
     driver-side beyond the query vectors and the q×k result."""
     docs = R.read_table(sf_dir, "documents", columns=["doc_id", "text"])
     sig = docs.map_batches(
@@ -537,7 +538,7 @@ def q_filtered_knn(sf_dir: str) -> pd.DataFrame:
         lambda t: pc.greater_equal(t["distinct_token_ratio"], pa.scalar(0.45)),
     ).select_columns(["doc_id"])
     emb = R.read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    # engine joins reject list-typed payloads: vectors ride the semi-join
+    # Arrow's join rejects list-typed payloads: vectors ride the semi-join
     # as fixed-width binary (one buffer reinterpret each way, no per-row
     # Python) — the distributed path, no survivor set ever broadcast
     from ..stages.similarity import pack_vectors, unpack_vectors

@@ -26,17 +26,20 @@ sequence packing and the crawl's per-host budget — runs on ONE
 transport, ``_exchange``: plain Ray tasks that split rows by a route
 (a key hash or an integer shard id) into reducers, each running one
 callable that groups by the key itself. The small side is its one-
-reducer case; never the engine's grouped aggregate, sort shuffle or
-hash shuffle, whose fixed costs dwarf it. Stages that emit no more
-rows than they read go through the gate (``_by_key``); pair
-expansions, whose output outgrows their input, are always sharded
-(``_sharded``). Joins above the budget use the engine hash join.
+reducer case; never the engine's grouped aggregate, sort shuffle,
+hash shuffle or hash join, whose fixed costs dwarf it. Stages that
+emit no more rows than they read go through the gate (``_by_key``);
+pair expansions, whose output outgrows their input, are always sharded
+(``_sharded``). Joins are the exchange's two-sided form
+(``hash_join``): both sides route by the hash of their own key
+columns and each reducer runs one Arrow join.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -55,7 +58,7 @@ _log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 # transport
 
-# The engine's shuffle and hash join carry a fixed cost per invocation
+# The engine's sort and shuffle carry a fixed cost per invocation
 # whatever their input size (1.2-1.7 s per hash shuffle on 1k rows at 4
 # CPUs), so an input under this budget runs as one task (the exchange's
 # one reducer) or ships once as a broadcast instead. Tests force the
@@ -90,61 +93,109 @@ def _split(route: Callable, n: int, *blocks) -> list[pa.Table]:
     return [pa.concat_tables(p, promote_options="permissive") for p in parts]
 
 
-@ray.remote(num_returns=2)
-def _reduce(fn: Callable, batch_format: str, *parts) -> tuple[pa.Table, int]:
-    """One reducer: ``fn``'s output and its row count, or -1 rows with
-    no call of ``fn`` when the parts hold no row."""
-    tables = [BlockAccessor.for_block(p).to_arrow() for p in parts]
-    nonempty = [x for x in tables if x.num_rows] or tables[:1]
-    t = pa.concat_tables(nonempty, promote_options="permissive")
-    if not t.num_rows:
-        return t, -1
-    out = fn(t if batch_format == "pyarrow" else BlockAccessor.for_block(t).to_pandas())
+def _call(fn: Callable, batch_format: str, tables: Sequence[pa.Table]) -> pa.Table:
+    """``fn`` over one table per side, in ``batch_format``, as Arrow."""
+    if batch_format != "pyarrow":
+        tables = [BlockAccessor.for_block(t).to_pandas() for t in tables]
+    out = fn(*tables)
     if isinstance(out, pd.DataFrame):
         # not Ray's pandas conversion, which types every all-null (so
         # every empty) column as null: a typed empty result stays typed
         out = pa.Table.from_pandas(out, preserve_index=False)
+    return out
+
+
+@ray.remote(num_returns=2)
+def _reduce(
+    fn: Callable, batch_format: str, empties: list, counts: list, *parts
+) -> tuple[pa.Table, int]:
+    """One reducer: ``fn``'s output and its row count. ``parts`` holds
+    each side's slices in turn, ``counts`` of them per side; a side
+    with no slice enters as its zero-row table in ``empties``. When no
+    side holds a row, -1 rows and no call of ``fn``."""
+    it = iter(parts)
+    tables = []
+    for empty, c in zip(empties, counts):
+        side = [BlockAccessor.for_block(next(it)).to_arrow() for _ in range(c)]
+        side = [x for x in side if x.num_rows] or side[:1] or [empty]
+        tables.append(pa.concat_tables(side, promote_options="permissive"))
+    if not any(t.num_rows for t in tables):
+        return tables[0], -1
+    out = _call(fn, batch_format, tables)
     return out, out.num_rows
 
 
-def _exchange(ds: Dataset, route: Callable | None, n: int, fn: Callable, batch_format: str) -> Dataset:
+def _exchange(
+    ds: Dataset | Sequence[Dataset],
+    route: Callable | Sequence[Callable] | None,
+    n: int,
+    fn: Callable,
+    batch_format: str,
+) -> Dataset:
     """The engine's one keyed transport, in plain Ray tasks: each row
     of ``ds`` goes to reducer ``route(arrow_table)[row]`` in ``[0, n)``,
     and one reduce task per reducer runs ``fn`` once over its rows (per
     ``batch_format``). The output is the reducers' results in reducer
     order, rows in input order within one, so calls are repeatable.
 
-    ``n`` = 1 is the small side: no split task, one reduce over every
-    non-empty block. Above it, the non-empty blocks form at most 4 ×
-    cluster-CPU contiguous runs, one split task each with
-    ``num_returns=n``: a call holds at most 4 × CPUs × ``n`` slice
-    refs, and a reducer holds its rows and ``fn``'s output in memory.
+    Two-sided form (``hash_join``): ``ds`` and ``route`` are lists, one
+    dataset and one route per side, every side splits into the same
+    ``n`` reducers, and ``fn`` takes one table per side, in side order.
 
-    Empty contract: a zero-row input comes back as it is and ``fn`` is
-    never called; a reducer with no row does not call ``fn``; empty
-    outputs are dropped unless all are, when the first typed one is
-    kept. Only per-reducer row counts reach the driver.
+    ``n`` = 1 is the small side: no split task, one reduce over every
+    non-empty block. Above it, each side's non-empty blocks form at
+    most 4 × cluster-CPU contiguous runs, one split task each with
+    ``num_returns=n``: a call holds at most 4 × CPUs × ``n`` slice
+    refs per side, and a reducer holds its rows and ``fn``'s output in
+    memory.
+
+    Empty contract: a reducer calls ``fn`` when any side holds a row,
+    and a side with no row enters as a zero-row table of its schema;
+    empty outputs are dropped unless all are, when the first typed one
+    is kept. A one-sided zero-row input comes back as it is and ``fn``
+    is never called; when every side has zero rows, ``fn`` runs once
+    on the driver over the zero-row tables. Only per-reducer row
+    counts reach the driver.
 
     On a 4-CPU host over 1k to 4M rows, Ray's sort shuffle plus
     ``map_groups`` took 2.6-6x as long as this exchange, and its hash
     shuffle (``repartition(n, keys=)``) 5-11 s whatever the size."""
-    ds = ds.materialize()
-    refs = [ref for b in ds.iter_internal_ref_bundles() for ref, md in b.blocks if md.num_rows]
-    if not refs:
-        return ds
+    sides = [d.materialize() for d in (ds if isinstance(ds, (list, tuple)) else [ds])]
+    routes = route if isinstance(route, (list, tuple)) else [route] * len(sides)
+    refs = [
+        [ref for b in s.iter_internal_ref_bundles() for ref, md in b.blocks if md.num_rows]
+        for s in sides
+    ]
+    empties = [None if r else _empty_table(s) for r, s in zip(refs, sides)]
+    if not any(refs):
+        return sides[0] if len(sides) == 1 else rd.from_arrow(_call(fn, batch_format, empties))
     fn_ref = ray.put(fn)
     if n == 1:
         slices = [refs]
     else:
-        route_ref = ray.put(route)
-        runs = np.array_split(np.arange(len(refs)), min(len(refs), 4 * _cluster_cpus()))
         split = _split.options(num_returns=n)
-        outs = [split.remote(route_ref, n, *(refs[i] for i in run)) for run in runs]
-        slices = [[o[j] for o in outs] for j in range(n)]
-    tables, counts = zip(*(_reduce.remote(fn_ref, batch_format, *s) for s in slices))
+        outs = []
+        for r, rt in zip(refs, routes):
+            rt_ref = ray.put(rt)
+            runs = np.array_split(np.arange(len(r)), min(len(r), 4 * _cluster_cpus())) if r else []
+            outs.append([split.remote(rt_ref, n, *(r[i] for i in run)) for run in runs])
+        slices = [[[o[j] for o in side] for side in outs] for j in range(n)]
+    reduces = [
+        _reduce.remote(fn_ref, batch_format, empties, [len(p) for p in s], *chain(*s))
+        for s in slices
+    ]
+    tables, counts = zip(*reduces)
     rows = ray.get(list(counts))
     keep = [t for t, r in zip(tables, rows) if r > 0] or [tables[rows.index(0)]]
     return rd.from_arrow_refs(keep)
+
+
+def _empty_table(ds: Dataset) -> pa.Table:
+    """A zero-row table of ``ds``'s schema (no column when it has none)."""
+    s = ds.schema()
+    if s is None:
+        return pa.table({})
+    return pa.schema([(c, _as_arrow_type(t)) for c, t in zip(s.names, s.types)]).empty_table()
 
 
 def _cluster_cpus() -> int:
@@ -415,30 +466,26 @@ def auto_join(
     right: Dataset,
     left_on: str,
     right_on: str,
-    num_partitions: int | None = None,
     how: str = "inner",
 ) -> Dataset:
-    """Size-adaptive INNER join transport: the right side materializes
-    (its blocks stay in the object store) and its MEASURED byte size
-    picks the path — within ``SMALL_BYTES`` it ships once as a
-    broadcast map-side join (no shuffle at all); above it, both sides
-    hash-shuffle through the engine join. Same gate philosophy as the
-    dedup broadcast paths: the decision is bytes, never a row-count
-    heuristic, so it cannot OOM the driver at any corpus size, and the
-    fallback is the fully distributed transport. The engine's shuffle
-    join carries a multi-second fixed aggregator cost per invocation,
-    so joins whose small side is dimension-sized (a filtered customer
-    set, a lookup table) should never pay it.
+    """Size-adaptive big ⋈ small join, ``inner`` (default) or
+    ``left_outer``: the right side materializes (its blocks stay in the
+    object store) and its MEASURED byte size picks the path — within
+    ``SMALL_BYTES`` it ships once as a broadcast map-side join (the
+    left side never moves); above it, ``hash_join`` exchanges both
+    sides. Same gate philosophy as the dedup broadcast paths: the
+    decision is bytes, never a row-count heuristic, so it cannot OOM
+    the driver at any corpus size, and the fallback is the fully
+    distributed transport.
 
-    ``how``: ``inner`` (default) or ``left_outer``. The broadcast
-    left_outer path mirrors the engine's output exactly (pinned by
-    ``test_auto_join_left_outer_paths_agree``): the right key column is
-    dropped (the engine coalesces it into the left key, which for a
-    LEFT outer is just the left key) and the payload columns keep the
-    right side's Arrow types, nullable where a left row missed, in
-    every block — as the engine's join emits them. full_outer is
-    NOT offered — unmatched RIGHT rows must be emitted exactly once
-    globally, which a per-batch broadcast merge cannot decide."""
+    The broadcast left_outer path mirrors ``hash_join``'s output
+    exactly (pinned by ``test_auto_join_left_outer_paths_agree``): the
+    right key column is dropped (Arrow's join coalesces it into the
+    left key, which for a LEFT outer is just the left key) and the
+    payload columns keep the right side's Arrow types, nullable where a
+    left row missed, in every block. full_outer is NOT offered —
+    unmatched RIGHT rows must be emitted exactly once globally, which a
+    per-batch broadcast merge cannot decide."""
     if how not in ("inner", "left_outer"):
         raise ValueError(f"auto_join: unsupported how={how!r}")
     right = right.materialize()
@@ -464,23 +511,7 @@ def auto_join(
                 {n: _as_arrow_type(t) for n, t in zip(rs.names, rs.types) if n != right_on},
             )
         return joined
-    if num_partitions is None:
-        # grow the fan-out with the MEASURED right side above the
-        # cluster-sized floor: each aggregator holds one partition pair
-        # in memory, so a fixed cap becomes an OOM cliff at 100× the
-        # data — while each partition also costs ~0.1 s of fixed
-        # aggregator overhead (interleaved A/B at 32 CPUs, BASELINE.md
-        # round 4), so small joins must not over-partition either.
-        nbytes = right.size_bytes() or 0
-        num_partitions = max(join_partitions(None), -(-nbytes // (256 << 20)))
-    return hash_join(
-        left,
-        right,
-        on=left_on,
-        right_on=right_on,
-        num_partitions=num_partitions,
-        join_type=how,
-    )
+    return hash_join(left, right, on=left_on, right_on=right_on, join_type=how)
 
 
 def auto_semi_join(
@@ -489,14 +520,13 @@ def auto_semi_join(
     on: str,
     right_on: str | None = None,
     anti: bool = False,
-    num_partitions: int | None = None,
 ) -> Dataset:
     """Size-adaptive SEMI/ANTI join: the right side's DISTINCT key set
     materializes (blocks stay in the object store) and its MEASURED
     byte size picks the transport — within ``SMALL_BYTES`` the keys
     ship once and every batch filters with a C++ ``is_in`` kernel (no
-    shuffle); above it the engine's hash-partitioned left_semi /
-    left_anti join runs (both sides shuffle). Same gate philosophy as
+    exchange); above it ``hash_join``'s left_semi / left_anti runs
+    (both sides exchange). Same gate philosophy as
     ``auto_join``: the decision is bytes, never a row-count heuristic,
     so no data-proportional key set can ever land on the driver (the
     round-3 verdict's ``customers_no_big_orders`` finding).
@@ -505,8 +535,8 @@ def auto_semi_join(
     ``test_auto_semi_join_null_keys_agree``): a null RIGHT key is
     dropped from the key set, and a null LEFT key never matches —
     excluded by semi, kept by anti. This is SQL EXISTS / NOT EXISTS
-    (``on = key`` is NULL for null keys → no match), and it is what the
-    engine's left_semi/left_anti hash join already does; the broadcast
+    (``on = key`` is NULL for null keys → no match), and it is what
+    Arrow's left_semi/left_anti join already does; the broadcast
     ``is_in`` path agrees only because nulls are removed here (Arrow's
     is_in would otherwise match null-to-null)."""
     right_on = right_on or on
@@ -525,7 +555,6 @@ def auto_semi_join(
         on=on,
         right_on=right_on,
         join_type="left_anti" if anti else "left_semi",
-        num_partitions=num_partitions,
     )
 
 
@@ -575,27 +604,10 @@ def broadcast_semi_join(ds: Dataset, keys: Iterable, on: str, anti: bool = False
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def join_partitions(requested: int | None = None, rows: int | None = None) -> int:
-    """Hash-join fan-out sized to the cluster: the engine's shuffle
-    aggregator actors reserve resources per partition, so a fixed 16 on
-    a 4-CPU cluster starves the map stages feeding them — two CHAINED
-    joins (32 aggregators) deadlock outright. Half the CPUs (capped at
-    16, floored at 2) leaves headroom for map stages and for a second
-    concurrent join; on big clusters callers pass ``requested`` when a
-    join's input justifies more fan-out.
-
-    With a KNOWN row count the fan-out targets ~100k rows/partition up
-    to ~3/4 of the cluster's CPUs — the remaining quarter is HEADROOM
-    for the map stages feeding the shuffle (aggregators == cpus is
-    exactly the starvation above, reappearing at the top end) — so a
-    few-hundred-row label table gets 2 partitions, not 16."""
-    if requested is not None:
-        return max(2, requested)
-    cpus = _cluster_cpus()
-    if rows is not None:
-        cap = min(max(2, cpus), max(16, (cpus * 3) // 4))
-        return max(2, min(cap, -(-rows // 100_000)))
-    return max(2, min(16, cpus // 2))
+# Ray's join types and their Arrow verbs (its JoinOperator makes the
+# same ``pa.Table.join`` call per partition)
+_JOIN_TYPES = "inner left_outer right_outer full_outer left_semi right_semi left_anti right_anti"
+_JOIN_VERBS = {t: t.replace("_", " ") for t in _JOIN_TYPES.split()}
 
 
 def hash_join(
@@ -603,31 +615,40 @@ def hash_join(
     right: Dataset,
     on: str | Sequence[str],
     right_on: str | Sequence[str] | None = None,
-    num_partitions: int | None = None,
     join_type: str = "inner",
 ) -> Dataset:
-    """Both-sides-large join: Ray Data's hash-partitioned ``Dataset.join``
-    (each side shuffles on the key; use ``broadcast_join`` when one side
-    fits in the object store instead). ``join_type`` passes through to
-    the engine: inner / left_outer / right_outer / full_outer /
-    left_semi / right_semi / left_anti / right_anti. Outer joins
-    COALESCE the key into the left key column; left_semi/left_anti
-    return LEFT columns only, right_semi/right_anti RIGHT columns
-    only. ``on`` accepts one key or a key tuple. ``num_partitions``
-    defaults to a CLUSTER-SIZED fan-out (see ``join_partitions``)."""
-    num_partitions = join_partitions(num_partitions)
-    on_t = (on,) if isinstance(on, str) else tuple(on)
-    if right_on is None:
-        right_t = None
-    else:
-        right_t = (right_on,) if isinstance(right_on, str) else tuple(right_on)
-    return left.join(
-        right,
-        join_type=join_type,
-        num_partitions=num_partitions,
-        on=on_t,
-        right_on=right_t,
-    )
+    """Both-sides-large join, the exchange's two-sided form: each side
+    routes by the hash (``shard_of``) of its own key columns into the
+    same reducers, and each reducer runs one ``pa.Table.join`` (single-
+    threaded, so a call is repeatable) over its left and right rows.
+    Within ``SMALL_BYTES`` (both sides' measured bytes together) that is
+    one reducer; above it ``data_sized_shards`` of both sides' row
+    counts. Use ``broadcast_join`` / ``auto_join`` when one side is
+    small instead.
+
+    ``join_type``: inner / left_outer / right_outer / full_outer /
+    left_semi / right_semi / left_anti / right_anti, with Arrow's
+    semantics: outer joins COALESCE the key into the left key column,
+    left_semi/left_anti return LEFT columns only, right_semi/right_anti
+    RIGHT columns only, and a null key never matches. ``on`` accepts
+    one key or a key tuple, and ``right_on`` (default ``on``) the right
+    side's names for them. A side with no row joins as a zero-row table
+    of its schema, so an empty side still gives a typed result."""
+    if join_type not in _JOIN_VERBS:
+        raise ValueError(f"hash_join: unsupported join_type={join_type!r}")
+    verb = _JOIN_VERBS[join_type]
+    on = [on] if isinstance(on, str) else list(on)
+    right_on = on if right_on is None else right_on
+    right_on = [right_on] if isinstance(right_on, str) else list(right_on)
+
+    def join(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        return lt.join(rt, keys=on, right_keys=right_on, join_type=verb, use_threads=False)
+
+    sides = [left.materialize(), right.materialize()]
+    if _fits(sides, "hash_join"):
+        return _exchange(sides, None, 1, join, "pyarrow")
+    n = data_sized_shards(sum(d.count() for d in sides))  # block metadata, no pass
+    return _exchange(sides, [_key_route(on, n), _key_route(right_on, n)], n, join, "pyarrow")
 
 
 def shard_of(s: pd.Series | pd.DataFrame, n_shards: int) -> pd.Series:
@@ -680,9 +701,9 @@ def data_sized_shards(
     total_rows: int, target_rows: int = _SHARD_TARGET_ROWS, min_shards: int = 16
 ) -> int:
     """Reducer count for the exchange's distributed side (``_sharded``,
-    the windows, ``pack_sequences``), derived from the DATA, not a
-    constant: each reducer holds its rows as ONE table or pandas
-    DataFrame in one worker, so a fixed count becomes a worker-OOM
+    ``hash_join``, the windows, ``pack_sequences``), derived from the
+    DATA, not a constant: each reducer holds its rows as ONE table or
+    pandas DataFrame in one worker, so a fixed count becomes a worker-OOM
     cliff at 100× the data (round-2 verdict item #2). No upper cap —
     reducers scale with rows; the floor keeps small inputs spread
     across a test cluster."""
@@ -1140,7 +1161,7 @@ def windowed_running_sum(
     ASSOCIATIVITY of sums: each (key, bucket) cumsums locally and emits
     its bucket TOTAL; a tiny per-key pass turns totals into exclusive
     prefix OFFSETS per bucket; offsets join back (broadcast merge within
-    ``SMALL_BYTES``, engine multi-key hash join above) and add.
+    ``SMALL_BYTES``, multi-key ``hash_join`` above) and add.
     Output identical across bucket settings."""
     order_cols = list(order_cols)
     ts = order_cols[0]
@@ -1203,31 +1224,12 @@ def windowed_running_sum(
     return joined.map_batches(finish, batch_format="pandas")
 
 
-def compact_blocks(ds: Dataset) -> Dataset:
-    """Materialize and drop EMPTY blocks, ahead of an engine join.
-
-    Ray's hash join emits zero-column empty blocks for empty
-    partitions, and feeding those into a further ``Dataset.join`` fails
-    with "No match for key field reference" (the exchange never emits
-    them: it drops empty reducers). Row blocks stay in the object store
-    (refs are reused, nothing lands on the driver). Row counts come
-    from the block metadata, not from a remote count task per block
-    (0.04–1.5 s per call on a 4-CPU host)."""
-    mat = ds.materialize()
-    rows = [md.num_rows for b in mat.iter_internal_ref_bundles() for _, md in b.blocks]
-    keep = [r for r, n in zip(mat.to_arrow_refs(), rows) if n != 0]
-    if not keep:
-        return mat
-    return rd.from_arrow_refs(keep)
-
-
 def grouped_rank_topk(
     ds: Dataset,
     group: str,
     value_col: str,
     k: int,
     rank_col: str = "rank",
-    num_partitions: int | None = None,
 ) -> Dataset:
     """RANK() <= k within each group, descending by ``value_col``, ties
     share a rank (SQL RANK semantics — a group can emit more than k
@@ -1243,8 +1245,8 @@ def grouped_rank_topk(
        above v);
     2. the (group, value, rank) mapping — k rows per group — joins back
        onto the stream: broadcast merge within ``SMALL_BYTES``, the
-       engine's multi-key hash join above it. Rows whose value misses
-       the mapping drop (rank > k).
+       multi-key ``hash_join`` above it. Rows whose value misses the
+       mapping drop (rank > k).
     """
 
     def local_candidates(df: pd.DataFrame) -> pd.DataFrame:
@@ -1277,14 +1279,14 @@ def grouped_rank_topk(
     if _fits(mapping, "grouped_rank_topk"):
         joined = broadcast_join(ds, to_pandas_schema_safe(mapping), on, on)
     else:
-        joined = hash_join(ds, cast_columns(mapping, types), on=on, num_partitions=num_partitions)
+        joined = hash_join(ds, cast_columns(mapping, types), on=on)
     return cast_columns(joined, types)
 
 
 def cast_columns(ds: Dataset, types: dict[str, pa.DataType]) -> Dataset:
     """Dtype normalization across blocks (e.g. a pandas batch turns an
-    int column with nulls into float64; the driver's value-hash and the
-    engine join are dtype-strict)."""
+    int column with nulls into float64; the driver's value-hash and
+    Arrow's join are dtype-strict)."""
 
     def fn(t: pa.Table) -> pa.Table:
         for col, typ in types.items():

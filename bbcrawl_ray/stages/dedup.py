@@ -346,9 +346,8 @@ def connected_components(pairs: pd.DataFrame) -> pd.DataFrame:
 def _rename(ds: Dataset, mapping: dict[str, str], keep: list[str]) -> Dataset:
     """select+rename as a vectorized Arrow map (no pandas round-trip).
 
-    Output column order is the SORTED new names — unions of renamed
-    datasets must agree on order or Ray's join chokes on the mixed
-    schemas."""
+    Output column order is the SORTED new names, so unions of renamed
+    datasets agree on one column order."""
 
     def fn(t: pa.Table) -> pa.Table:
         t = t.select(keep)
@@ -473,8 +472,8 @@ def _sig_est_from_maps(t: pa.Table, sig_ref, min_est: float) -> pa.Table:
 
 def _empty_pairs(id_type: pa.DataType, **value_types: pa.DataType) -> Dataset:
     """A pair result with no rows but its usual columns and types:
-    (left_id, right_id, *value_types). An empty pair stream out of a
-    engine join is schema-less blocks, which joins reject."""
+    (left_id, right_id, *value_types), for the early exits that stop
+    before the stage that would type them."""
     cols = {"left_id": id_type, "right_id": id_type, **value_types}
     return rd.from_arrow(pa.schema(list(cols.items())).empty_table())
 
@@ -486,7 +485,6 @@ def verify_pairs_distributed(
     text_col="text",
     k: int = 5,
     threshold: float = 0.8,
-    num_partitions: int | None = None,
     sigs: Dataset | None = None,
     broadcast_gates: bool = True,
 ) -> Dataset:
@@ -504,9 +502,9 @@ def verify_pairs_distributed(
     Each tier picks its transport with ``relops._fits`` on measured
     bytes: when the materialized signatures (tier 1) or survivors
     (tier 2) fit ``relops.SMALL_BYTES``, the small side broadcasts once
-    via ray.put (skipping two join operators' startup — the dominant
-    cost at small scale); otherwise hash-partitioned ``Dataset.join``s
-    run. The survivor shingle map's bytes are counted WHILE building
+    via ray.put (skipping two join exchanges); otherwise two
+    ``relops.hash_join``s per tier run. The survivor shingle map's
+    bytes are counted WHILE building
     and bail to the join path the moment they trip the same budget, so
     nothing data-proportional can land on the driver as the corpus or
     the dup rate grows — a 30-50% dup-rate corpus (the web-scale norm)
@@ -516,9 +514,8 @@ def verify_pairs_distributed(
     import ray
 
     docs = ds.select_columns([id_col, text_col])
-    pairs = R.compact_blocks(pairs)
+    pairs = pairs.materialize()
     n_pairs = pairs.count()
-    nparts = R.join_partitions(num_partitions, rows=n_pairs)
     min_est = max(0.0, threshold - _SIG_MARGIN)
 
     # tier 1: signature prefilter (reuse precomputed signatures if given)
@@ -532,8 +529,6 @@ def verify_pairs_distributed(
         for b in sigs.iter_batches(batch_format="pyarrow"):
             sig_map.update(zip(b[id_col].to_pylist(), b["sig"].to_pylist()))
         sig_ref = ray.put(sig_map)
-        # plain materialize: nothing downstream of the broadcast branch
-        # joins, so schema-less empty blocks are harmless here
         survivors = pairs.map_batches(
             lambda t: _sig_est_from_maps(t, sig_ref, min_est),
             batch_format="pyarrow",
@@ -541,13 +536,11 @@ def verify_pairs_distributed(
     else:
         lsig = _rename(sigs, {id_col: "left_id", "sig": "left_sig"}, [id_col, "sig"])
         rsig = _rename(sigs, {id_col: "right_id", "sig": "right_sig"}, [id_col, "sig"])
-        s1 = pairs.join(lsig, join_type="inner", num_partitions=nparts, on=("left_id",))
-        s2 = s1.join(rsig, join_type="inner", num_partitions=nparts, on=("right_id",))
-        survivors = R.compact_blocks(
-            s2.map_batches(
-                lambda t: _sig_estimate_filter(t, min_est), batch_format="pyarrow"
-            )
-        )
+        s1 = R.hash_join(pairs, lsig, on="left_id")
+        s2 = R.hash_join(s1, rsig, on="right_id")
+        survivors = s2.map_batches(
+            lambda t: _sig_estimate_filter(t, min_est), batch_format="pyarrow"
+        ).materialize()
     n_surv = survivors.count()
     if n_surv == 0:
         return _empty_pairs(_id_type(id_col, sigs), jaccard=pa.float64())
@@ -604,13 +597,11 @@ def verify_pairs_distributed(
 
         return survivors.map_batches(verify_bc, batch_format="pyarrow")
 
-    nparts2 = R.join_partitions(num_partitions, rows=n_surv)
-    survivors = R.compact_blocks(survivors)  # joins below reject empty schema-less blocks
     shingled = docs.map_batches(ShingleStage(id_col, text_col, k), batch_format="pyarrow")
     left_sh = _rename(shingled, {id_col: "left_id", "shingles": "left_sh"}, [id_col, "shingles"])
     right_sh = _rename(shingled, {id_col: "right_id", "shingles": "right_sh"}, [id_col, "shingles"])
-    j1 = survivors.join(left_sh, join_type="inner", num_partitions=nparts2, on=("left_id",))
-    j2 = j1.join(right_sh, join_type="inner", num_partitions=nparts2, on=("right_id",))
+    j1 = R.hash_join(survivors, left_sh, on="left_id")
+    j2 = R.hash_join(j1, right_sh, on="right_id")
     return j2.map_batches(
         lambda t: _verify_joined(t, threshold), batch_format="pyarrow"
     )
@@ -638,12 +629,15 @@ def cluster_propagate(
     """
     # dedup edges; materialized because the edge set is consumed every
     # iteration
-    pairs = R.distinct(pairs, ["left_id", "right_id"]).materialize()
-    n_pairs = pairs.count()
+    deduped = R.distinct(pairs, ["left_id", "right_id"]).materialize()
+    n_pairs = deduped.count()
     if n_pairs == 0:
+        # typed by the input: Ray's map over zero rows leaves no schema
+        id_type = _id_type("left_id", pairs)
         return rd.from_arrow(
-            pa.table({"doc_id": pa.array([], pa.int64()), "cluster_id": pa.array([], pa.int64())})
+            pa.table({"doc_id": pa.array([], id_type), "cluster_id": pa.array([], id_type)})
         )
+    pairs = deduped
     if driver_gate is not None and n_pairs <= driver_gate:
         # bounded driver path: ≤ driver_gate edges pull in one pass
         cols = {"left_id": [], "right_id": []}
@@ -656,7 +650,6 @@ def cluster_propagate(
     swapped = _rename(pairs, {"left_id": "dst", "right_id": "src"}, ["left_id", "right_id"])
     fwd = _rename(pairs, {"left_id": "src", "right_id": "dst"}, ["left_id", "right_id"])
     edges = fwd.union(swapped).materialize()
-    n_edges = edges.count()
 
     # round 0 is join-free: label(v) = min(v, min direct neighbor) via
     # ONE grouped Min over the symmetric edges — clique-shaped clusters
@@ -668,12 +661,9 @@ def cluster_propagate(
         batch_format="pyarrow",
     ).materialize()
 
-    nparts = R.join_partitions(rows=n_edges)
     prev_sum = labels.aggregate(Sum("label", alias_name="s"))["s"]
     for _ in range(max_iters):
-        offers = edges.join(
-            labels, join_type="inner", num_partitions=nparts, on=("src",), right_on=("node",)
-        )
+        offers = R.hash_join(edges, labels, on="src", right_on="node")
         offers = _rename(offers, {"dst": "node"}, ["dst", "label"])
         new_labels = (
             R.partial_group_aggregate(offers.union(labels), ["node"], {"label": ("min", "label")})
@@ -706,8 +696,7 @@ def _as_pa_type(schema, col: str) -> pa.DataType:
 def _id_type(id_col: str, *datasets: Dataset) -> pa.DataType:
     """Arrow type of the id column in the first of ``datasets`` that has
     a schema (an empty corpus can leave a stage's output with none: its
-    empty blocks carry no columns); int64, the id type of
-    ``cluster_propagate``'s empty result, when none has one."""
+    empty blocks carry no columns); int64 when none has one."""
     for d in datasets:
         schema = d.schema()
         if schema is not None:
@@ -785,16 +774,14 @@ def representatives(
     """Unique-text corpus (id, text) for a collapse ``mapping``: within
     ``relops.SMALL_BYTES`` the rep-id set broadcasts once (ray.put) and
     the corpus filters IN PLACE — no text moves at all; above it (≳8M
-    unique docs) a hash join ships each unique text once."""
+    unique docs) ``relops.hash_join`` ships each unique text once."""
     import ray
 
     docs = ds.select_columns([id_col, text_col])
-    reps = R.compact_blocks(
-        mapping.map_batches(
-            lambda t: t.filter(pc.equal(t[id_col], t["rep_id"])).select([id_col]),
-            batch_format="pyarrow",
-        )
-    )
+    reps = mapping.map_batches(
+        lambda t: t.filter(pc.equal(t[id_col], t["rep_id"])).select([id_col]),
+        batch_format="pyarrow",
+    ).materialize()
     n_reps = reps.count()
     if n_reps == 0:
         # empty corpus: an empty SCHEMA-TYPED unique-text stream
@@ -820,12 +807,7 @@ def representatives(
         # several times — lazy, each pass would re-run ds's full
         # upstream lineage plus this filter
         return docs.map_batches(keep, batch_format="pyarrow").materialize()
-    nparts = R.join_partitions(rows=n_reps)
-    return R.compact_blocks(
-        R.compact_blocks(docs).join(
-            reps, join_type="inner", num_partitions=nparts, on=(id_col,)
-        )
-    )
+    return R.hash_join(docs, reps, on=id_col)
 
 
 def _expand_cross_member_pairs(
@@ -834,14 +816,13 @@ def _expand_cross_member_pairs(
     id_col: str,
     id_type: pa.DataType,
     value_cols: list[str],
-    nparts: int,
 ) -> Dataset | None:
     """Expand rep-level pairs to member-level pairs through the doc→rep
     mapping: members inherit their rep pair's value columns verbatim
     (identical texts ⇒ identical shingle/gram/fingerprint features).
     Returns (left_id, right_id, *value_cols) with each pair oriented
     (min, max), or None when there are no rep pairs."""
-    rp = R.compact_blocks(rep_pairs)
+    rp = rep_pairs.materialize()
     if rp.count() == 0:
         return None
     ml = _rename(
@@ -852,12 +833,7 @@ def _expand_cross_member_pairs(
         mapping.select_columns([id_col, "rep_id"]),
         {id_col: "right_doc", "rep_id": "right_id"}, [id_col, "rep_id"],
     )
-    e1 = R.compact_blocks(
-        rp.join(ml, join_type="inner", num_partitions=nparts, on=("left_id",))
-    )
-    e = R.compact_blocks(
-        e1.join(mr, join_type="inner", num_partitions=nparts, on=("right_id",))
-    )
+    e = R.hash_join(R.hash_join(rp, ml, on="left_id"), mr, on="right_id")
 
     def orient(t: pa.Table) -> pa.Table:
         # reps satisfy left<right but their members need not — orient
@@ -1035,24 +1011,15 @@ def minhash_dedup(
     # jaccard threshold; empty-text groups are excluded because empty
     # shingle sets never verify as pairs in the uncollapsed pipeline).
     # A doc can satisfy both — grouped Min keeps the smaller label (the
-    # CC label is <= rep id by construction). Every branch is guarded
-    # against emptiness: empty join inputs carry schema-less blocks,
-    # and a duplicate-free corpus must return a TYPED empty result.
+    # CC label is <= rep id by construction). A duplicate-free corpus
+    # must return a TYPED empty result.
     id_type = _id_type(id_col, mapping, ds)
-    rep_labels = R.compact_blocks(
-        _rename(labels, {"doc_id": "rep_id"}, ["doc_id", "cluster_id"])
-    )
+    rep_labels = _rename(labels, {"doc_id": "rep_id"}, ["doc_id", "cluster_id"]).materialize()
     pairs_map = mapping.select_columns([id_col, "rep_id", "group_n", "has_content"])
-    n_map = mapping.count()
     parts: list[Dataset] = []
     if rep_labels.count() > 0:
         parts.append(
-            pairs_map.join(
-                rep_labels,
-                join_type="inner",
-                num_partitions=R.join_partitions(rows=n_map),
-                on=("rep_id",),
-            ).select_columns([id_col, "cluster_id"])
+            R.hash_join(pairs_map, rep_labels, on="rep_id").select_columns([id_col, "cluster_id"])
         )
     exact_only = pairs_map.map_batches(
         lambda t: (
@@ -1112,8 +1079,8 @@ def _ngram_pairs_core(
     4. the keyed tail (``relops._by_key``) on the pair sums partial
        co-occurrence counts → inter;
     5. per-doc set sizes meet the pair stream by broadcast while their
-       materialized bytes fit ``relops.SMALL_BYTES``, hash-join above
-       it; the integer filter ``den*inter >= num*(|A|+|B|-inter)``
+       materialized bytes fit ``relops.SMALL_BYTES``, ``relops.hash_join``
+       above it; the integer filter ``den*inter >= num*(|A|+|B|-inter)``
        avoids float compare.
     """
     import ray
@@ -1232,12 +1199,9 @@ def _ngram_pairs_core(
         return pairs.map_batches(finish, batch_format="pyarrow"), sizes
 
     # join path: sizes meet pairs twice by hash partition
-    nparts = R.join_partitions(rows=sizes.count())
-    pairs = R.compact_blocks(pairs)
     ls = _rename(sizes, {id_col: "left_id", "n_grams": "na"}, [id_col, "n_grams"])
     rs = _rename(sizes, {id_col: "right_id", "n_grams": "nb"}, [id_col, "n_grams"])
-    j = pairs.join(ls, join_type="inner", num_partitions=nparts, on=("left_id",))
-    j = j.join(rs, join_type="inner", num_partitions=nparts, on=("right_id",))
+    j = R.hash_join(R.hash_join(pairs, ls, on="left_id"), rs, on="right_id")
 
     def finish_join(t: pa.Table) -> pa.Table:
         inter = t["inter"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1312,34 +1276,25 @@ def ngram_jaccard_pairs(
     reps = representatives(ds, mapping, id_col, text_col)
     rep_pairs, rep_sizes = _ngram_pairs_core(reps, **core_kw)
 
-    n_map = mapping.count()
-    nparts = R.join_partitions(rows=n_map)
     id_type = _id_type(id_col, mapping, ds)
     parts: list[Dataset] = []
 
-    cross = _expand_cross_member_pairs(
-        rep_pairs, mapping, id_col, id_type, ["inter", "union_n"], nparts
-    )
+    cross = _expand_cross_member_pairs(rep_pairs, mapping, id_col, id_type, ["inter", "union_n"])
     if cross is not None:
         parts.append(cross)
 
     # same-group pairs: every member pair of a >=2 group whose rep HAS
     # grams is an exact duplicate (inter = union = rep gram count)
-    szs = R.compact_blocks(
-        _rename(rep_sizes, {id_col: "rep_id", "n_grams": "_ng"}, [id_col, "n_grams"])
-    )
-    multi = R.compact_blocks(
-        mapping.map_batches(
-            lambda t: t.filter(pc.greater_equal(t["group_n"], 2)).select(
-                [id_col, "rep_id"]
-            ),
-            batch_format="pyarrow",
-        )
-    )
+    # (guarded: an empty corpus's mapping and sizes carry no schema to join on)
+    szs = _rename(rep_sizes, {id_col: "rep_id", "n_grams": "_ng"}, [id_col, "n_grams"])
+    szs = szs.materialize()
+    multi = mapping.map_batches(
+        lambda t: t.filter(pc.greater_equal(t["group_n"], 2)).select([id_col, "rep_id"]),
+        batch_format="pyarrow",
+    ).materialize()
     if multi.count() > 0 and szs.count() > 0:
-        ib = multi.join(szs, join_type="inner", num_partitions=nparts, on=("rep_id",))
         same = _expand_intra_member_pairs(
-            ib, id_col, ["_ng"],
+            R.hash_join(multi, szs, on="rep_id"), id_col, ["_ng"],
             lambda m: {
                 "inter": m["_ng"].astype("int64").to_numpy(),
                 "union_n": m["_ng"].astype("int64").to_numpy(),
@@ -1350,8 +1305,6 @@ def ngram_jaccard_pairs(
 
     if not parts:
         return _empty_pairs(id_type, inter=pa.int64(), union_n=pa.int64())
-    # no trailing compaction: empty schema-less blocks only break JOINS,
-    # and the pair stream ends here (consumers scan/collect it)
     return parts[0] if len(parts) == 1 else parts[0].union(parts[1])
 
 
@@ -1560,13 +1513,9 @@ def simhash_near_dup(
     reps = representatives(ds, mapping, id_col, text_col)
     rep_pairs = _simhash_core(reps, id_col, text_col, max_hamming)
 
-    n_map = mapping.count()
-    nparts = R.join_partitions(rows=n_map)
     id_type = _id_type(id_col, mapping, ds)
     parts: list[Dataset] = []
-    cross = _expand_cross_member_pairs(
-        rep_pairs, mapping, id_col, id_type, ["hamming"], nparts
-    )
+    cross = _expand_cross_member_pairs(rep_pairs, mapping, id_col, id_type, ["hamming"])
     if cross is not None:
         parts.append(cross)
 

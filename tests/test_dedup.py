@@ -963,8 +963,8 @@ def test_exact_collapse_empty_corpus_typed(ray_session, family, cols):
 def test_pairless_corpus_typed(ray_session, monkeypatch, family, cols, budget):
     """Documents that share no word 3-gram and are no near-dups of each
     other give each family its usual columns and types with no rows,
-    on both sides of the ``SMALL_BYTES`` gate: an empty pair stream out
-    of a shuffle is schema-less, and joins reject it."""
+    on both sides of the ``SMALL_BYTES`` gate: Ray's map over zero rows
+    leaves no schema, so each early exit types its own result."""
     from bbcrawl_ray.pipelines import relops as R
     from bbcrawl_ray.pipelines.relops import to_pandas_schema_safe
     from bbcrawl_ray.stages import dedup as D
@@ -988,3 +988,32 @@ def test_pairless_corpus_typed(ray_session, monkeypatch, family, cols, budget):
     assert len(out) == 0
     assert list(out.columns) == cols
     assert [str(t) for t in out.dtypes] == ["int64"] * len(cols)
+
+
+@pytest.mark.parametrize("budget", ["small", "zero"])
+def test_string_id_corpus_without_near_dups_keeps_id_type(ray_session, monkeypatch, budget):
+    """A string-id corpus with no near-duplicate gives a typed empty
+    (doc_id, cluster_id) of string ids, like its non-empty results, on
+    both sides of the ``SMALL_BYTES`` gate — and so does
+    ``cluster_propagate`` on an empty string-id pair stream."""
+    from bbcrawl_ray.pipelines import relops as R
+    from bbcrawl_ray.stages import dedup as D
+
+    if budget == "zero":
+        monkeypatch.setattr(R, "SMALL_BYTES", 0)
+    corpus = rd.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array(["doc-a", "doc-b"], pa.string()),
+                "text": ["alpha beta gamma delta epsilon", "one two three four five six"],
+            }
+        )
+    )
+    empty_pairs = rd.from_arrow(
+        pa.table({"left_id": pa.array([], pa.string()), "right_id": pa.array([], pa.string())})
+    )
+    for out in (D.minhash_dedup(corpus), D.cluster_propagate(empty_pairs)):
+        assert out.count() == 0
+        schema = out.schema()
+        assert list(schema.names) == ["doc_id", "cluster_id"]
+        assert list(schema.types) == [pa.string(), pa.string()]

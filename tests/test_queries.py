@@ -544,6 +544,73 @@ def _exchange_case(case, monkeypatch):
         assert runs[0].equals(runs[1])
         # reducer order, then input order within a reducer
         assert runs[0].sort_values(["r", "x"]).reset_index(drop=True).equals(runs[0])
+    elif case.startswith("join_"):
+        _join_case(case[len("join_"):], monkeypatch)
+
+
+# both sides carry null keys; the right key columns have other names
+_JOIN_LEFT = {
+    "a": ([1, 2, None, 4, 5, 5, 7, None, 9], "int64"),
+    "b": (["x", "y", "z", None, "u", "u", "p", "q", "r"], "string"),
+    "v": ([0.5 * i for i in range(9)], "float64"),
+}
+_JOIN_RIGHT = {
+    "c": ([1, None, 4, 5, 8, 9, None], "int64"),
+    "d": (["x", "z", None, "u", "s", "r", "t"], "string"),
+    "w": ([10, 20, 30, 40, 50, 60, 70], "int32"),
+}
+
+
+def _join_case(shape, monkeypatch):
+    """``hash_join`` against a DuckDB oracle for the five join types
+    the engine uses, at the default budget and at ``SMALL_BYTES`` = 0,
+    with Arrow types compared strictly."""
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from bbcrawl_ray.pipelines import relops as R
+
+    def table(spec, rows):
+        return pa.table({c: pa.array(v[:rows], t) for c, (v, t) in spec.items()})
+
+    lt = table(_JOIN_LEFT, 0 if shape == "empty_left" else 9)
+    rt = table(_JOIN_RIGHT, 0 if shape == "empty_right" else 7)
+    on, right_on = (["a", "b"], ["c", "d"]) if shape == "two_keys" else (["a"], ["c"])
+    con = duckdb.connect()
+    con.register("L", lt)
+    con.register("R", rt)
+    cond = " AND ".join(f"L.{l} = R.{r}" for l, r in zip(on, right_on))
+    payload = [f"R.{c}" for c in rt.column_names if c not in right_on]
+
+    def oracle(join_type):
+        if join_type in ("left_semi", "left_anti"):
+            neg = "NOT " if join_type == "left_anti" else ""
+            return f"SELECT L.* FROM L WHERE {neg}EXISTS (SELECT 1 FROM R WHERE {cond})"
+        verb = {"inner": "INNER", "left_outer": "LEFT", "full_outer": "FULL OUTER"}[join_type]
+        keys = dict(zip(on, right_on))
+        coalesce = keys if join_type == "full_outer" else {}
+        cols = [
+            f"COALESCE(L.{c}, R.{coalesce[c]}) AS {c}" if c in coalesce else f"L.{c}"
+            for c in lt.column_names
+        ]
+        return f"SELECT {', '.join(cols + payload)} FROM L {verb} JOIN R ON {cond}"
+
+    def norm(t):
+        return t.to_pandas().sort_values(t.column_names, kind="mergesort").reset_index(drop=True)
+
+    for budget in (R.SMALL_BYTES, 0):
+        for join_type in ("inner", "left_outer", "full_outer", "left_semi", "left_anti"):
+            with monkeypatch.context() as m:
+                m.setattr(R, "SMALL_BYTES", budget)
+                left = rd.from_arrow([lt.slice(0, 3), lt.slice(3, 3), lt.slice(6)])
+                got = R.hash_join(left, rd.from_arrow(rt), on, right_on, join_type=join_type)
+                got = pa.concat_tables(ray.get(got.to_arrow_refs()))
+            exp = con.execute(oracle(join_type)).arrow()
+            where = (shape, budget, join_type)
+            assert got.schema.names == exp.schema.names, where
+            assert got.schema.types == exp.schema.types, where
+            pd.testing.assert_frame_equal(norm(got), norm(exp), check_dtype=True, obj=str(where))
 
 
 @pytest.mark.parametrize(
@@ -554,6 +621,10 @@ def _exchange_case(case, monkeypatch):
         "typed_empty_output",
         "split_tasks_bounded",
         "stable_output_order",
+        "join_one_key",
+        "join_two_keys",
+        "join_empty_left",
+        "join_empty_right",
     ],
 )
 def test_exchange_contract(ray_session, monkeypatch, case):
@@ -562,8 +633,30 @@ def test_exchange_contract(ray_session, monkeypatch, case):
     input comes back without calling ``fn``; a non-empty input whose
     ``fn`` returns nothing gives a typed empty result; more blocks than
     the bound start at most 4 × CPUs split tasks; two calls give the
-    same output order."""
+    same output order. Its two-sided form, ``hash_join``, matches a
+    DuckDB oracle with null keys on both sides, a two-column key named
+    differently on each side, and either side empty but typed."""
     _exchange_case(case, monkeypatch)
+
+
+def test_joins_never_call_the_engine_join(ray_session, sf_dir, monkeypatch):
+    """Every join runs on the exchange: with ``Dataset.join`` made to
+    raise, the fully distributed minhash pipeline and the four
+    ``hash_join`` queries forced over the byte gate still match."""
+    import ray.data
+
+    from bbcrawl_ray.pipelines import relops as R
+    from bbcrawl_ray.pipelines.queries import QUERIES
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Dataset.join called")
+
+    monkeypatch.setattr(ray.data.Dataset, "join", refuse)
+    assert QUERIES["minhash_clusters_distributed"](sf_dir).count() > 0
+    monkeypatch.setattr(R, "SMALL_BYTES", 0)
+    joins = ("order_lineitem_join", "user_activity_full_outer", "parts_both_bands")
+    for name in (*joins, "priorities_only_1996"):
+        assert_matches_oracle(sf_dir, name)
 
 
 def test_auto_semi_join_null_keys_agree(ray_session, monkeypatch):
