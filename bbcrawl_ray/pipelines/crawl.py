@@ -78,6 +78,8 @@ class CrawlConfig:
     seen_shards: int = 4
     seen_mode: str = "exact"
     fetch_concurrency: tuple = (1, 4)
+    # the largest fetch batch; the fetch stage's task count and batch
+    # size follow from it and the selected rows (fetch_layout)
     fetch_batch_size: int = 64
     fetch_num_cpus: float = 0.5
     max_epochs: int = 1
@@ -90,13 +92,6 @@ class CrawlConfig:
     metrics_level: str = "full"  # full | lite (bench: skip per-status/per-seed aggregates)
     fetch_mode: str = "auto"  # auto | actors | tasks (see FetchParse docstring)
     cookies: dict = field(default_factory=dict)  # {host: {name: value}} broadcast to fetchers
-    # frontier read fan-out: blocks = max(8, ncpu * frontier_blocks_per_cpu).
-    # More blocks = finer scheduling + smaller write files; fewer = less
-    # per-task overhead. Two round-4 interleaved A/Bs at 16 CPUs: 4 and
-    # 8 statistically indistinguishable, 16 slightly worse — the knob
-    # sits on the same plateau as batch/pool size (BASELINE.md r3/r4
-    # nulls); exposed so cluster-sized runs can tune it anyway.
-    frontier_blocks_per_cpu: int = 8
 
 
 def parquet_row_count(d: str) -> int:
@@ -108,6 +103,38 @@ def parquet_row_count(d: str) -> int:
     return sum(
         pq.read_metadata(f).num_rows for f in glob.glob(f"{d}/*.parquet")
     )
+
+
+# Ray Data 2.49 admits a map task only while the object store has room
+# for its pending output, and until the operator's first output it
+# prices that at target_max_block_size × the streaming-generator buffer
+# (OpRuntimeMetrics.obj_store_mem_max_pending_output_per_task, read by
+# TaskPoolMapOperator and ActorPoolMapOperator): 128 MB × 2 = 256 MB by
+# default. The fetch stage ends in its write, so a task outputs one small
+# row; with a 768 MB object store the default ran the first task alone
+# for 0.33 s of a 2.3 s write (6,400 pages, 4 CPUs), while at 8 MB, well
+# above a task's parsed output, the four first-wave tasks started within
+# 30 ms of each other. Set on the crawl's own datasets only.
+_FETCH_BLOCK_BYTES = 8 << 20
+# a fetch task holds at most this many batches
+_BATCHES_PER_TASK = 4
+
+
+def fetch_layout(rows: int, slots: int, batch_size: int) -> tuple[int, int]:
+    """(tasks, batch rows) of the fused SeenFilter→FetchParse→Write stage
+    for ``rows`` selected frontier rows on ``slots`` fetch slots.
+
+    The tasks run in whole waves: the fewest multiple of the slots whose
+    tasks hold at most ``_BATCHES_PER_TASK`` batches of ``batch_size``,
+    one frontier block each. The batch is never larger than the smallest
+    block, because Ray's bundler merges blocks until a bundle holds a
+    whole batch (320 rows in 4 blocks at batch 512 ran as one task).
+    Fewer rows than slots run one row a task; no rows, no task."""
+    if rows <= 0:
+        return 0, batch_size
+    slots = min(slots, rows)
+    tasks = slots * -(-rows // (slots * _BATCHES_PER_TASK * batch_size))
+    return tasks, min(batch_size, rows // tasks)
 
 
 def partition_manifest(d: str) -> list[dict]:
@@ -203,6 +230,17 @@ def _fetch_cfg(cfg: CrawlConfig, pages_ref, seen: SeenSet) -> FetchConfig:
     )
 
 
+def _fetch_slots(cfg: CrawlConfig, mode: str) -> int:
+    """How many fetch calls run at once: every CPU in task mode (a task
+    takes one); in actor mode the actors the pool starts with. Within
+    an epoch of the benchmark's frontier crawl the pool never grew past
+    them (2 FetchParse constructions an epoch whether the stage had 2 or
+    4 tasks), so more tasks only queue on the same actors."""
+    if mode == "tasks":
+        return int(ray.cluster_resources().get("CPU", 1))
+    return cfg.fetch_concurrency[0]
+
+
 def _seed_frontier(cfg: CrawlConfig) -> Dataset:
     defaults = {
         "name": "page",
@@ -215,10 +253,8 @@ def _seed_frontier(cfg: CrawlConfig) -> Dataset:
     }
     rows = [{**defaults, **r} for r in cfg.seeds]
     # one seed per block → expansion parallelizes across seeds
-    return (
-        rd.from_items(rows)
-        .repartition(len(rows))
-        .map_batches(expand_seeds_batch, batch_format="pyarrow", batch_size=1)
+    return rd.from_items(rows, override_num_blocks=len(rows)).map_batches(
+        expand_seeds_batch, batch_format="pyarrow", batch_size=1
     )
 
 
@@ -389,14 +425,7 @@ def _run_epochs(cfg: CrawlConfig, resume: bool, seen: SeenSet, lease_s: float) -
         )
         frontier_write_s = time.perf_counter() - t_write
 
-        # -- fetch + parse (selected rows only, streamed once to parquet).
-        # Repartition first: the frontier parquet may be a handful of
-        # files, and read parallelism = file count without it.
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-        selected = read_parquet_dirs(
-            [f"{frontier_dir}/selected=true"], FRONTIER_SHARD
-        ).repartition(max(8, ncpu * cfg.frontier_blocks_per_cpu))
-        new_rows = selected.map_batches(SeenFilter(seen), batch_format="pyarrow")
+        # -- fetch + parse (selected rows only, streamed once to parquet)
         stateful_fetch = (
             cfg.min_host_delay_s > 0
             or cfg.obey_robots
@@ -406,6 +435,17 @@ def _run_epochs(cfg: CrawlConfig, resume: bool, seen: SeenSet, lease_s: float) -
         mode = cfg.fetch_mode
         if mode == "auto":
             mode = "actors" if stateful_fetch else "tasks"
+        # sized from the frontier footers (no Ray execution): one block
+        # per fetch task, in whole waves over the fetch slots
+        selected_count = parquet_row_count(f"{frontier_dir}/selected=true")
+        fetch_tasks, batch_rows = fetch_layout(
+            selected_count, _fetch_slots(cfg, mode), cfg.fetch_batch_size
+        )
+        selected = read_parquet_dirs([f"{frontier_dir}/selected=true"], FRONTIER_SHARD)
+        selected.context.target_max_block_size = _FETCH_BLOCK_BYTES
+        if fetch_tasks:
+            selected = selected.repartition(fetch_tasks)
+        new_rows = selected.map_batches(SeenFilter(seen), batch_format="pyarrow")
         from ..stages.parse import EXTRACTORS
 
         # resolve on the driver → custom register_extractor() entries are
@@ -422,7 +462,7 @@ def _run_epochs(cfg: CrawlConfig, resume: bool, seen: SeenSet, lease_s: float) -
                 FetchParse,
                 fn_constructor_args=fp_args,
                 batch_format="pyarrow",
-                batch_size=cfg.fetch_batch_size,
+                batch_size=batch_rows,
                 concurrency=cfg.fetch_concurrency,
                 num_cpus=cfg.fetch_num_cpus,
             )
@@ -436,7 +476,7 @@ def _run_epochs(cfg: CrawlConfig, resume: bool, seen: SeenSet, lease_s: float) -
                 return fp(batch)
 
             parsed = new_rows.map_batches(
-                fetch_parse, batch_format="pyarrow", batch_size=cfg.fetch_batch_size
+                fetch_parse, batch_format="pyarrow", batch_size=batch_rows
             )
         # hive-partition by record_kind: doc/manifest/link land in their
         # own directories, so every downstream read is directory-pruned
@@ -492,7 +532,6 @@ def _run_epochs(cfg: CrawlConfig, resume: bool, seen: SeenSet, lease_s: float) -
         else:
             status_counts, per_seed = {}, {}
         seen_sizes = seen.sizes()
-        selected_count = parquet_row_count(f"{frontier_dir}/selected=true")
         new_urls = sum(seen_sizes) - seen_before
         metrics = {
             "epoch": epoch,
@@ -502,6 +541,8 @@ def _run_epochs(cfg: CrawlConfig, resume: bool, seen: SeenSet, lease_s: float) -
             "manifest_status": status_counts,
             "docs_per_seed": per_seed,
             "seen_sizes": seen_sizes,
+            "fetch_tasks": fetch_tasks,
+            "fetch_batch_rows": batch_rows,
             "frontier_write_s": round(frontier_write_s, 3),
             "parsed_write_s": round(parsed_write_s, 3),
             "wall_s": round(time.perf_counter() - t0, 3),

@@ -659,10 +659,14 @@ def shard_of(s: pd.Series | pd.DataFrame, n_shards: int) -> pd.Series:
     is DTYPE-sensitive (int64 5 and float64 5.0 hash differently), so
     two datasets carrying the same key at different widths — or one
     dataset whose batches with nulls convert an int key to float64 —
-    would otherwise route equal values to different shards."""
+    would otherwise route equal values to different shards. A bool
+    column with a null reaches pandas as ``object``; it normalizes the
+    same way (null → NaN), so one bool value routes alike in every batch."""
 
     def norm(c: pd.Series) -> pd.Series:
         if pd.api.types.is_numeric_dtype(c) and not pd.api.types.is_float_dtype(c):
+            return c.astype("float64")
+        if c.dtype == object and pd.api.types.infer_dtype(c, skipna=True) == "boolean":
             return c.astype("float64")
         return c
 

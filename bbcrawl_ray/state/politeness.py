@@ -79,9 +79,15 @@ class HostClock:
 
 
 def _sort_host_block(g: pd.DataFrame) -> pd.DataFrame:
-    return g.sort_values(
-        ["priority", "page_num", "url"], ascending=[False, True, True], kind="mergesort"
+    """Selection order, then the least (seed_id, discovered_from) offer
+    first, as ``crawl._links_to_frontier`` attributes a repeated URL; the
+    first row of each (host, url_hash) is the one that stays."""
+    g = g.sort_values(
+        ["priority", "page_num", "url", "seed_id", "discovered_from"],
+        ascending=[False, True, True, True, True],
+        kind="mergesort",
     )
+    return g[~g.duplicated(["host", "url_hash"])]
 
 
 def budget_frontier(
@@ -93,7 +99,11 @@ def budget_frontier(
     """Adds ``selected`` (fetch this epoch?) and ``host_shard`` columns.
 
     Selection order within a host: priority desc, then page_num asc,
-    then url (total, deterministic).
+    then url (total, deterministic). A URL offered more than once (one
+    ``url_hash`` in several rows of a host, e.g. found by two link
+    batches) keeps one row, its least (seed_id, discovered_from) offer,
+    so repeated offers never take budget slots; the other rows are
+    dropped, in each block and again per host.
 
     Fast path: with no budget there is nothing to rank, so the
     host-keyed exchange is skipped entirely — a vectorized map adds
@@ -140,12 +150,12 @@ def budget_frontier(
     deferred = marked.map_batches(defer_block, batch_format="pandas")
 
     def per_host(g: pd.DataFrame) -> pd.DataFrame:
-        g = _sort_host_block(g.drop(columns=["cand"]))
-        n = len(g)
         if group_size_probe is not None:
             # test hook: lets a test assert the skew-safety invariant
             # (no host's grouped input exceeds budget × num_blocks)
-            group_size_probe.record.remote(n)
+            group_size_probe.record.remote(len(g))
+        g = _sort_host_block(g.drop(columns=["cand"]))
+        n = len(g)
         k = min(budget, n)
         selected = np.zeros(n, dtype=bool)
         selected[:k] = True

@@ -518,3 +518,67 @@ def test_delayed_crawls_keep_clocks_on_leased_seen_shards(ray_session, tmp_root,
     assert len(leased) == 2 and leased[1] == leased[0]
     assert clocks == leased
     assert set(started[0]) <= {"SeenShard"} and started[1] == []
+
+
+@pytest.mark.parametrize(
+    "rows,slots", [(0, 4), (3, 4), (6400, 1), (6400, 4), (10**6, 4)]
+)
+def test_fetch_layout_whole_waves(rows, slots):
+    """The fetch stage runs in whole waves of at most 4 batches a task,
+    and its batch never exceeds a block, so Ray's bundler never merges
+    two blocks into one task."""
+    from bbcrawl_ray.pipelines.crawl import fetch_layout
+
+    batch = 512
+    tasks, batch_rows = fetch_layout(rows, slots, batch)
+    assert 1 <= batch_rows <= batch
+    if rows == 0:
+        assert tasks == 0
+        return
+    assert tasks % min(slots, rows) == 0
+    assert rows // tasks >= 1  # repartition's smallest block
+    assert batch_rows <= rows // tasks
+    assert -(-rows // tasks) <= 4 * batch_rows
+    if rows == 6400:
+        assert (tasks, batch_rows) == (4, 512)
+
+
+@pytest.mark.parametrize("mode", ["tasks", "actors"])
+def test_metrics_record_fetch_layout(ray_session, tmp_root, mode):
+    """metrics.json records each epoch's fetch task count and batch rows;
+    the tasks fill whole waves of the fetch slots."""
+    from bbcrawl_ray.state.checkpoint import CheckpointManager
+
+    res = run(
+        dict(
+            crawler=CrawlerSpec(crawler="src", tags=["img"]),
+            seeds=[SEED],
+            output_root=tmp_root,
+            fetch_mode=mode,
+            fetch_concurrency=(2, 2),
+            fetch_num_cpus=0.5,
+        )
+    )
+    m = CheckpointManager(res.checkpoint_root).read_json(0, "metrics.json")
+    slots = 4 if mode == "tasks" else 2  # the session's CPUs; the pool's actors
+    assert m["fetch_tasks"] > 0 and m["fetch_tasks"] % slots == 0
+    assert 1 <= m["fetch_batch_rows"] <= 64
+    assert m == res.metrics[0]
+
+
+def test_crawl_leaves_the_global_data_context(ray_session, tmp_root):
+    """The crawl sizes its blocks on its own datasets' contexts; the
+    session's DataContext keeps every field, target_max_block_size too."""
+    from ray.data import DataContext
+
+    def fields():
+        return {
+            k: v
+            for k, v in vars(DataContext.get_current()).items()
+            if v is None or isinstance(v, (bool, int, float, str))
+        }
+
+    before = fields()
+    run(dict(crawler=CrawlerSpec(crawler="src", tags=["img"]), seeds=[SEED], output_root=tmp_root))
+    assert "target_max_block_size" in before
+    assert fields() == before

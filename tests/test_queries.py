@@ -795,3 +795,21 @@ def test_source_mix_empty_corpus_token_share_nan(ray_session, tmp_path):
     assert len(out) == 2
     assert out["sum_tokens"].tolist() == [0, 0]
     assert np.isnan(out["token_share"]).all()
+
+
+def test_bool_keys_route_by_value():
+    """A bool key column with a null reaches pandas as ``object`` and one
+    without as ``bool``; both must send True (and False) to one reducer,
+    or a keyed op above the byte gate splits equal keys."""
+    import pyarrow as pa
+
+    from bbcrawl_ray.pipelines.relops import _key_route
+
+    route = _key_route(["k"], 16)
+    plain = route(pa.table({"k": [True, False]}))
+    nulls = route(pa.table({"k": [True, False, None]}))
+    assert list(nulls[:2]) == list(plain)
+    route2 = _key_route(["k", "i"], 16)
+    plain = route2(pa.table({"k": [True, False], "i": [1, 2]}))
+    nulls = route2(pa.table({"k": [True, False, None], "i": [1, 2, 3]}))
+    assert list(nulls[:2]) == list(plain)

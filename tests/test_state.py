@@ -292,6 +292,50 @@ def test_budget_frontier_multiblock_exact(ray_session):
     assert out[out.selected]["host_shard"].nunique() == 3
 
 
+def test_budget_frontier_repeated_offers_take_no_slots(ray_session):
+    """A URL offered twice (two link batches, different offering pages)
+    takes one budget slot: a host at its budget selects ``budget``
+    distinct URLs, the kept row is the least (seed_id, discovered_from)
+    offer, and 1 block or 4 blocks of the same rows select the same."""
+    import ray.data as rd
+
+    from bbcrawl_ray import schemas
+    from bbcrawl_ray.state.politeness import budget_frontier
+
+    budget, n = 5, 8
+    # URL p0000 (the best-ranked) is offered three times
+    idx = [0, 0, 0] + list(range(1, n))
+    froms = ["http://hot.example/b", "http://hot.example/a", "http://hot.example/c"]
+    froms += ["http://hot.example/a"] * (n - 1)
+    rows = pa.table(
+        {
+            "url": pa.array([f"http://hot.example/p{i:04d}" for i in idx]),
+            "canon_url": pa.array([f"http://hot.example/p{i:04d}" for i in idx]),
+            "host": pa.array(["hot.example"] * len(idx)),
+            "page_num": pa.array(idx, pa.int64()),
+            "priority": pa.array([0] * len(idx), pa.int64()),
+            "depth": pa.array([1] * len(idx), pa.int32()),
+            "seed_id": pa.array(["s2", "s1", "s1"] + ["s1"] * (n - 1)),
+            "url_hash": pa.array(idx, pa.uint64()),
+            "discovered_from": pa.array(froms),
+            "epoch": pa.array([1] * len(idx), pa.int32()),
+        },
+        schema=schemas.FRONTIER,
+    )
+    chosen = []
+    for blocks in (1, 4):
+        out = budget_frontier(
+            rd.from_arrow(rows).repartition(blocks), per_host_budget=budget
+        ).to_pandas()
+        sel = out[out.selected].sort_values("page_num")
+        assert len(sel) == budget and sel["url_hash"].is_unique
+        assert sel["page_num"].tolist() == list(range(budget))
+        first = sel.iloc[0]
+        assert (first["seed_id"], first["discovered_from"]) == ("s1", "http://hot.example/a")
+        chosen.append(sel[["url", "seed_id", "discovered_from"]].to_records(index=False).tolist())
+    assert chosen[0] == chosen[1]
+
+
 def test_relative_redirect_resolution(ray_session):
     """A relative Location resolves against the current URL and the hop's
     politeness/cookies key on the resolved host (not the frontier row's)."""
